@@ -79,7 +79,7 @@ def _record(
 
     The one recording path shared by the lint and certification entry
     points, so both always analyze the exact instruction stream the
-    production trace cache would capture.  Returns the finished recorder
+    interpreted engine executes.  Returns the finished recorder
     plus the physical (padded) output and input extents.
     """
     mat = variant.prepare(

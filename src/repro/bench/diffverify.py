@@ -1,8 +1,9 @@
 """Cross-format differential verification under certified rounding bounds.
 
 ``python -m repro.bench.diffverify`` runs every registered kernel variant
-through every compiler tier (interpret, replay, megakernel) over a
-four-structure panel and holds the outputs to the *analytically derived*
+through three execution tiers — the interpreted engine
+(``ExecutionContext.measure``), replay of the recorded trace, and replay
+of its fused megakernel — over a four-structure panel and holds the outputs to the *analytically derived*
 tolerances of :mod:`repro.analysis.numlint` — the "tolerances are
 derived, not guessed" discipline of the SpMV verification literature
 (Zhang, arXiv 2510.13427).  Three layers of checking replace the ad-hoc
@@ -20,9 +21,9 @@ derived, not guessed" discipline of the SpMV verification literature
   legitimately reorder a row's additions, but only within what their
   accumulation trees certify.
 
-Within one variant the old contract still holds and is still gated:
-record, replay, and megakernel tiers execute the recorded accumulation
-order bit-identically, so their outputs must be *exactly* equal.  The
+Within one variant the record/replay contract is gated too: replay and
+megakernel tiers execute the recorded accumulation order bit-identically,
+so their outputs must *exactly* equal the interpreted one.  The
 sweep writes ``BENCH_diffverify.json`` and exits nonzero when any gate
 fails — the CI job ``diffverify`` runs exactly this.
 """
@@ -41,12 +42,13 @@ from ..core.dispatch import registered_variants
 from ..core.traced import trace_buffers
 from ..mat.aij import AijMat
 from ..pde.problems import irregular_rows
+from ..simd.megakernel import compile_megakernel
+from ..simd.trace import TraceError
 
 #: Output file CI uploads.
 REPORT_PATH = "BENCH_diffverify.json"
 
-#: Compiler tiers the sweep executes; labels match
-#: :attr:`repro.core.context.ExecutionContext.compiler_tier`.
+#: Execution tiers the sweep runs each variant through.
 TIERS = ("interpret", "replay", "megakernel")
 
 
@@ -96,6 +98,20 @@ def _reference(csr: AijMat, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y_ref, gamma(nnz, LONGDOUBLE_ROUNDOFF) * env
 
 
+def _tier_outputs(ctx, variant, csr, x) -> dict[str, np.ndarray]:
+    """``y`` from each tier: ``measure()`` interprets; its prepared matrix's
+    recorded trace replays plainly and as a fused megakernel (an
+    unfusable trace's megakernel tier is plain replay)."""
+    meas = ctx.measure(variant, csr, x=x)
+    trace, _, _ = variant.record(meas.mat, x)
+    replayed, _ = variant.replay(trace, meas.mat, x)
+    try:
+        fused, _ = variant.replay(compile_megakernel(trace), meas.mat, x)
+    except TraceError:
+        fused = replayed
+    return {"interpret": meas.y, "replay": replayed, "megakernel": fused}
+
+
 def _certified_bound(variant, csr, x, slice_height, sigma, cert) -> np.ndarray:
     """Evaluate a certificate against the buffers the kernel actually ran on."""
     mat = variant.prepare(csr, slice_height=slice_height, sigma=sigma)
@@ -126,22 +142,11 @@ def run_sweep() -> dict:
     for label, csr, slice_height, sigma in structures:
         x = _input_for(csr.shape[1])
         y_ref, ref_bound = _reference(csr, x)
-        ctxs = {
-            "interpret": ExecutionContext(
-                slice_height=slice_height, sigma=sigma, use_traces=False
-            ),
-            "replay": ExecutionContext(
-                slice_height=slice_height, sigma=sigma, use_megakernels=False
-            ),
-            "megakernel": ExecutionContext(
-                slice_height=slice_height, sigma=sigma
-            ),
-        }
-        cert_ctx = ExecutionContext(slice_height=slice_height, sigma=sigma)
+        ctx = ExecutionContext(slice_height=slice_height, sigma=sigma)
         outputs: list[tuple[str, str, np.ndarray, np.ndarray]] = []
         for variant in variants:
             try:
-                cert = cert_ctx.certify_variant(variant, csr)
+                cert = ctx.certify_variant(variant, csr)
             except (ValueError, NotImplementedError):
                 continue  # format constraint, same skip rule as tuning
             cert_stats["count"] += 1
@@ -155,10 +160,9 @@ def run_sweep() -> dict:
                 uncertified.append(f"{variant.name} on {label}")
                 continue
             bound = _certified_bound(variant, csr, x, slice_height, sigma, cert)
-            tier_ys = {}
-            for tier, ctx in ctxs.items():
-                assert ctx.compiler_tier == tier
-                y = np.asarray(ctx.measure(variant, csr, x=x).y, dtype=np.float64)
+            tier_ys = _tier_outputs(ctx, variant, csr, x)
+            for tier in TIERS:
+                y = np.asarray(tier_ys[tier], dtype=np.float64)
                 tier_ys[tier] = y
                 outputs.append((variant.name, tier, y, bound))
                 err = np.abs(y.astype(np.longdouble) - y_ref).astype(np.float64)

@@ -96,7 +96,6 @@ def _baseline(pool_idx: int):
     csr, b = _system(pool_idx)
     return GMRES(
         restart=20, pc=JacobiPC(), rtol=1e-10, max_it=400,
-        use_superops=False,
     ).solve(csr, b)
 
 
@@ -247,7 +246,7 @@ def measure_overhead() -> dict:
         t0 = time.perf_counter()
         GMRES(
             restart=20, pc=JacobiPC(), rtol=1e-12,
-            max_it=OVERHEAD_ITERATIONS, use_superops=False,
+            max_it=OVERHEAD_ITERATIONS,
         ).solve(csr, b, checkpointer=checkpointer)
         return time.perf_counter() - t0
 
@@ -263,7 +262,7 @@ def measure_overhead() -> dict:
             t0 = time.perf_counter()
             GMRES(
                 restart=20, pc=JacobiPC(), rtol=1e-12,
-                max_it=OVERHEAD_ITERATIONS, use_superops=False,
+                max_it=OVERHEAD_ITERATIONS,
             ).solve(csr, b, checkpointer=Checkpointer(store, OVERHEAD_CADENCE))
             store.drain()
             behind.append(time.perf_counter() - t0)

@@ -34,10 +34,9 @@ from ...machine.specs import KNL_7230, ProcessorSpec
 from ...pde.problems import gray_scott_jacobian
 
 #: Edge length of the reference grid the engine kernels actually execute.
-#: The default keeps the published fixture values bit-identical; with the
-#: record/replay engine (docs/performance.md) larger reference grids are
-#: tractable — set ``REPRO_REFERENCE_GRID`` to raise it and shrink the
-#: counter-extrapolation distance to the paper's 2048^2 runs.
+#: The default keeps the published fixture values bit-identical; set
+#: ``REPRO_REFERENCE_GRID`` to raise it (at interpretation cost) and
+#: shrink the counter-extrapolation distance to the paper's 2048^2 runs.
 REFERENCE_GRID = int(os.environ.get("REPRO_REFERENCE_GRID", "32"))
 
 #: Single-node experiment grid (Figures 8, 9, 11): 2048^2, ~8.4M unknowns.

@@ -1,18 +1,17 @@
-"""Benchmark smoke run: interpreted vs. replayed ``measure()`` wall time.
+"""Benchmark smoke run: interpreted kernel vs. replay of its recorded trace.
 
-``python -m repro.bench.smoke`` times one full :func:`repro.core.spmv`
-measurement of the default variant sweep on a reference 64x64-grid
-Gray-Scott operator twice — once forcing interpreted execution
-(``use_traces=False``) and once through the record/replay path with a warm
-trace cache — and writes ``BENCH_spmv_measure.json`` with the wall seconds
-and the speedup.  CI runs it on every push, seeding the performance
-trajectory; the job fails if replay is not at least ``MIN_SPEEDUP`` times
-faster, so a regression that silently falls back to interpretation (e.g. a
-kernel change the trace layer cannot represent) turns the build red.
+``python -m repro.bench.smoke`` times the headline variant on a reference
+64x64-grid Gray-Scott operator twice — once on the interpreted engine
+(:meth:`KernelVariant.run <repro.core.dispatch.KernelVariant.run>`, what
+``ExecutionContext.measure`` executes) and once replaying the kernel's
+recorded trace (:meth:`KernelVariant.replay
+<repro.core.dispatch.KernelVariant.replay>`) — and writes
+``BENCH_spmv_measure.json`` with the wall seconds and the speedup.  The
+job fails if replay is not at least ``MIN_SPEEDUP`` times faster, so a
+kernel change the trace layer can no longer batch turns the build red.
 
 The replayed timing measures steady-state replays: the trace is recorded
-(and its cost excluded) before the timed loop, matching how the figure
-harnesses amortize recording across a variant sweep.
+(and its cost excluded) before the timed loop.
 
 The job also times the ABFT row-checksum verification
 (:class:`repro.faults.abft.AbftOperator`) against the raw product on the
@@ -33,17 +32,12 @@ observability layer outside the timed loops and writes
 namespace, the Chrome trace must validate against the trace-event schema,
 and the stage self-times must tile the wall clock.
 
-The megakernel gate (``BENCH_megakernel.json``) covers the third
-compiler tier (:mod:`repro.simd.megakernel`): replaying the fused
+The megakernel gate (``BENCH_megakernel.json``) covers the fused
+replay tier (:mod:`repro.simd.megakernel`): replaying the fused
 whole-matrix program must be at least ``MIN_MEGA_SPEEDUP`` times faster
 than plain step-by-step replay on the same smoke matrix (stretch goal
 ``STRETCH_MEGA_SPEEDUP``), with bit-identical results and counters on
-every timed input.  A companion cold-start check warms an on-disk plan
-cache (:mod:`repro.simd.plan_cache`) in one context, then measures from
-a *fresh* registry pointed at the same directory: the observed metrics
-must show zero ``compiler.recordings`` and zero
-``compiler.megakernel_compiles`` — the persisted plans alone carry the
-cold process straight to the fastest tier.
+every timed input.
 """
 
 from __future__ import annotations
@@ -127,39 +121,33 @@ class SmokeResult:
 def run_smoke(
     grid: int = SMOKE_GRID, variant_name: str = SMOKE_VARIANT
 ) -> SmokeResult:
-    """Time ``measure()`` interpreted vs. replayed on one reference matrix.
+    """Time the interpreted kernel vs. trace replay on one reference matrix.
 
-    Both paths run identical measurements (same matrix, same fresh input
-    vector per call, results verified equal) — only the execution engine
-    differs.  Distinct input vectors per call keep the context's
-    default-input memo from short-circuiting the work being timed.
+    Both paths run the same prepared matrix on the same fresh input
+    vector per call, with results verified equal — only the execution
+    engine differs.  Recording the trace happens before the timed loops.
     """
     csr = gray_scott_jacobian(grid)
     variant = get_variant(variant_name)
+    mat = variant.prepare(csr)
     rng = np.random.default_rng(99)
     inputs = [rng.standard_normal(csr.shape[1]) for _ in range(REPEATS + 1)]
 
-    interpreted = ExecutionContext(use_traces=False)
-    replayed = ExecutionContext(use_traces=True)
-    # Warm both contexts outside the timed loops: format conversion is
-    # shared bookkeeping, and the replay path's warm-up also records the
-    # trace (amortized across every later measurement of the structure).
-    interpreted.measure(variant, csr, x=inputs[0])
-    replayed.measure(variant, csr, x=inputs[0])
+    trace, _, _ = variant.record(mat, inputs[0])
 
     t0 = time.perf_counter()
     for x in inputs[1:]:
-        meas_i = interpreted.measure(variant, csr, x=x)
+        y_i, c_i = variant.run(mat, x)
     interpreted_seconds = (time.perf_counter() - t0) / REPEATS
 
     t0 = time.perf_counter()
     for x in inputs[1:]:
-        meas_r = replayed.measure(variant, csr, x=x)
+        y_r, c_r = variant.replay(trace, mat, x)
     replayed_seconds = (time.perf_counter() - t0) / REPEATS
 
-    if not np.array_equal(meas_i.y, meas_r.y):
-        raise AssertionError("replayed measurement diverged from interpreted")
-    if meas_i.counters.as_dict() != meas_r.counters.as_dict():
+    if not np.array_equal(y_i, y_r):
+        raise AssertionError("replayed product diverged from interpreted")
+    if c_i.as_dict() != c_r.as_dict():
         raise AssertionError("replayed counters diverged from interpreted")
 
     return SmokeResult(
@@ -369,71 +357,6 @@ def run_megakernel(
     }
 
 
-def run_cold_start(
-    grid: int = SMOKE_GRID, variant_name: str = SMOKE_VARIANT
-) -> dict:
-    """Prove a warm on-disk plan cache skips record+compile entirely.
-
-    A first context (its own registry) measures once with a plan cache
-    attached, persisting the trace and megakernel plans.  A second,
-    completely fresh context pointed at the same directory then measures
-    under observation: the gate demands zero ``compiler.recordings`` and
-    zero ``compiler.megakernel_compiles`` in the metrics snapshot, every
-    plan-cache lookup a hit, and the cold result bit-identical to the
-    warm (recording) run.
-    """
-    import tempfile
-
-    from ..obs import observing
-
-    csr = gray_scott_jacobian(grid)
-    rng = np.random.default_rng(41)
-    x_record = rng.standard_normal(csr.shape[1])
-    x = rng.standard_normal(csr.shape[1])
-
-    with tempfile.TemporaryDirectory(prefix="repro-plans-") as plans:
-        warm = ExecutionContext(plan_cache_dir=plans)
-        # First measure records the trace (recording doubles as the first
-        # measurement, so no replay happens); the second goes through the
-        # replay tier, compiling — and persisting — the megakernel plan.
-        warm.measure(variant_name, csr, x=x_record)
-        meas_warm = warm.measure(variant_name, csr, x=x)
-        stored = warm.registry.plan_cache.stats()["stores"]
-
-        cold = ExecutionContext(plan_cache_dir=plans)
-        with observing() as obs:
-            meas_cold = cold.measure(variant_name, csr, x=x)
-            metrics = obs.metrics.snapshot()
-        recordings = int(metrics.get("compiler.recordings", 0))
-        compiles = int(metrics.get("compiler.megakernel_compiles", 0))
-        stats = cold.registry.plan_cache.stats()
-
-    identical = bool(
-        np.array_equal(meas_warm.y, meas_cold.y)
-        and meas_warm.counters.as_dict() == meas_cold.counters.as_dict()
-    )
-    ok = (
-        recordings == 0
-        and compiles == 0
-        and stats["hits"] >= 2
-        and stats["misses"] == 0
-        and cold.compiler_tier == "persisted"
-        and identical
-    )
-    return {
-        "bench": "cold_start",
-        "grid": grid,
-        "variant": variant_name,
-        "plans_stored": stored,
-        "cold_recordings": recordings,
-        "cold_megakernel_compiles": compiles,
-        "plan_cache": stats,
-        "compiler_tier": cold.compiler_tier,
-        "identical": identical,
-        "ok": ok,
-    }
-
-
 def main(
     path: str = "BENCH_spmv_measure.json",
     abft_path: str = "BENCH_abft_overhead.json",
@@ -492,11 +415,8 @@ def main(
     )
 
     mega = run_megakernel()
-    cold = run_cold_start()
-    mega_record = dict(mega)
-    mega_record["cold_start"] = cold
     with open(mega_path, "w") as fh:
-        json.dump(mega_record, fh, indent=2)
+        json.dump(mega, fh, indent=2)
         fh.write("\n")
     print(
         f"megakernel tier on the same {mega['grid']}^2 grid "
@@ -508,13 +428,6 @@ def main(
     print(
         f"  speedup:      {mega['speedup']:.2f}x "
         f"(floor {MIN_MEGA_SPEEDUP:.0f}x, stretch {STRETCH_MEGA_SPEEDUP:.0f}x)"
-    )
-    print(
-        f"  cold start:   {cold['cold_recordings']} recordings, "
-        f"{cold['cold_megakernel_compiles']} compiles, "
-        f"plan-cache hits {cold['plan_cache']['hits']}"
-        f"/misses {cold['plan_cache']['misses']}, "
-        f"tier {cold['compiler_tier']}"
     )
 
     failed = False
@@ -532,9 +445,6 @@ def main(
         failed = True
     if mega["speedup"] < MIN_MEGA_SPEEDUP:
         print("FAIL: megakernel speedup below the acceptance floor")
-        failed = True
-    if not cold["ok"]:
-        print("FAIL: cold start re-recorded or re-compiled despite warm plans")
         failed = True
     return 1 if failed else 0
 

@@ -8,8 +8,9 @@ and 5.4).  Before this module that bundle was hand-threaded through every
 ``measure()``/``predict()`` call; the :class:`ExecutionContext` carries it
 once and becomes the object callers hand around:
 
-* ``ctx.measure(variant, csr)`` — run a kernel under the context's policy,
-  memoized per (variant, configuration, matrix);
+* ``ctx.measure(variant, csr)`` — run a kernel on the interpreted engine
+  under the context's policy, memoized per (variant, configuration,
+  matrix);
 * ``ctx.predict(meas)`` — price a measurement on the context's machine;
 * ``ctx.best_plan(csr)`` / ``ctx.best_variant(csr)`` / ``ctx.tune(csr)``
   — inspector-executor style format selection and parameter tuning over
@@ -28,7 +29,6 @@ depend only on the kernel and the matrix, never on the machine model.
 from __future__ import annotations
 
 import contextlib
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -51,7 +51,6 @@ from ..obs.observer import active_observer, obs_counter, obs_event
 from ..simd.engine import AlignmentFault, SimdEngine
 from ..simd.isa import Isa, get_isa
 from ..simd.counters import KernelCounters
-from ..simd.trace import TraceError
 from .autotune import TuneResult, tune_sell
 from .dispatch import ALL_VARIANTS, KernelVariant, get_variant
 from .registry import SignatureRegistry
@@ -128,41 +127,15 @@ class ExecutionContext:
         When set (a variant or legend name), :meth:`reformat` uses it
         unconditionally; when ``None`` the autotuned
         :meth:`best_variant` decides.
-    use_traces:
-        When true (the default), each (variant, structure) pair records
-        its instruction stream once and replays it for subsequent
-        measurements — bit-identical results, 1-2 orders of magnitude
-        faster (see ``docs/performance.md``).  Set false to force full
-        interpreted execution on every call.
-    use_megakernels:
-        When true (the default), each compiled trace is further fused by
-        the megakernel tier (:mod:`repro.simd.megakernel`) — whole-matrix
-        sweeps instead of per-level dispatches, bit-identical ``y`` and
-        counters — and solvers dispatch fused super-ops
-        (:meth:`dispatch_superop`).  Traces the fuser cannot handle fall
-        back to plain replay transparently (the ``None`` verdict is
-        cached so unfusable structures are mined once).
-    plan_cache_dir:
-        When set (or via the ``REPRO_PLAN_CACHE`` environment variable),
-        compiled traces and megakernel programs persist to an on-disk
-        :class:`~repro.simd.plan_cache.PlanCache` rooted there, so a
-        cold process with a warm store skips record+compile entirely
-        (see ``docs/performance.md``).  Attached to the registry, hence
-        shared by every derived view.
     abft / abft_rtol:
         When ``abft`` is true, every product run through the context is
         ABFT-verified (checksum cross-check, :mod:`repro.faults.abft`)
         and a detected corruption degrades down the recovery ladder:
-        traced replay → interpreted kernel → scalar CSR reference.  Off
-        by default — results are then bit-identical to a context without
-        the feature.  Solvers attached to the context also inherit the
-        toggle (their operators are wrapped in
+        interpreted kernel → fresh interpreted retry → scalar CSR
+        reference.  Off by default — results are then bit-identical to a
+        context without the feature.  Solvers attached to the context
+        also inherit the toggle (their operators are wrapped in
         :class:`~repro.faults.abft.AbftOperator`).
-    audit_interval:
-        When positive, every ``audit_interval``-th replay of a cached
-        trace is cross-checked bit-exactly against a fresh interpreted
-        execution; a mismatch invalidates the cached trace and returns
-        the interpreted result.  Zero (default) disables auditing.
     max_send_retries:
         Retransmission budget for a dropped simulated-MPI message before
         a send fails (``None`` → the communicator default,
@@ -171,8 +144,9 @@ class ExecutionContext:
         context (the serve executor, the elastic driver) thread it
         through.
     verify_variants:
-        When true, the :meth:`best_variant` sweep statically verifies
-        each candidate with :meth:`verify_variant` (the
+        When true, the :meth:`best_plan` sweep statically verifies each
+        candidate at its own ``sigma``/``block_shape`` with
+        :meth:`verify_variant` (the
         :mod:`repro.analysis` trace linter) and refuses any variant with
         findings — a kernel that lints dirty on this matrix never wins
         tuning, however fast the model prices it.  Off by default; the
@@ -188,12 +162,8 @@ class ExecutionContext:
     sigma: int = 1
     block_shape: tuple[int, int] = (2, 4)
     default_variant: KernelVariant | str | None = None
-    use_traces: bool = True
-    use_megakernels: bool = True
-    plan_cache_dir: str | os.PathLike | None = None
     abft: bool = False
     abft_rtol: float = 1.0e-9
-    audit_interval: int = 0
     verify_variants: bool = False
     max_send_retries: int | None = None
 
@@ -201,14 +171,13 @@ class ExecutionContext:
     #: stays at one per sparsity signature across repeated solves.
     autotune_sweeps: int = field(default=0, repr=False, compare=False)
 
-    #: The memoization store: every cache the context historically owned
-    #: (measure/tune/best memos, the structure-keyed trace cache, prepared
-    #: formats, default inputs, verifier verdicts) lives in this shared,
-    #: concurrency-safe :class:`~repro.core.registry.SignatureRegistry`.
-    #: A fresh context makes its own private registry (identical per-call
-    #: behavior to the historical dicts); pass one registry to many
+    #: The memoization store: every cache the context owns (measure/tune/
+    #: best memos, prepared formats, default inputs, verifier verdicts)
+    #: lives in this shared, concurrency-safe
+    #: :class:`~repro.core.registry.SignatureRegistry`.  A fresh context
+    #: makes its own private registry; pass one registry to many
     #: contexts — or derive views with :meth:`view` — to share every
-    #: recorded trace and tuning decision across them.
+    #: measurement and tuning decision across them.
     registry: SignatureRegistry | None = field(
         default=None, repr=False, compare=False
     )
@@ -216,17 +185,6 @@ class ExecutionContext:
     def __post_init__(self) -> None:
         if self.registry is None:
             self.registry = SignatureRegistry()
-        if self.plan_cache_dir is None:
-            env = os.environ.get("REPRO_PLAN_CACHE")
-            if env:
-                self.plan_cache_dir = env
-        if (
-            self.plan_cache_dir is not None
-            and self.registry.plan_cache is None
-        ):
-            from ..simd.plan_cache import PlanCache
-
-            self.registry.attach_plan_cache(PlanCache(self.plan_cache_dir))
         if self.nprocs is None:
             self.nprocs = self.model.spec.cores
         if not 1 <= self.nprocs <= self.model.spec.cores:
@@ -244,22 +202,6 @@ class ExecutionContext:
     def spec(self) -> ProcessorSpec:
         """The processor being modeled."""
         return self.model.spec
-
-    @property
-    def compiler_tier(self) -> str:
-        """The deepest compiler tier this context dispatches through.
-
-        One of ``"interpret"`` (traces off), ``"replay"`` (traced replay,
-        megakernels off), ``"megakernel"`` (fused in-memory plans), or
-        ``"persisted"`` (megakernels plus the on-disk plan cache).
-        """
-        if not self.use_traces:
-            return "interpret"
-        if not self.use_megakernels:
-            return "replay"
-        if self.registry is not None and self.registry.plan_cache is not None:
-            return "persisted"
-        return "megakernel"
 
     @property
     def memory_mode(self) -> MemoryMode:
@@ -312,6 +254,8 @@ class ExecutionContext:
     ) -> SpmvMeasurement:
         """Run one variant's kernel on one matrix under this context.
 
+        The kernel runs on the interpreted engine — the one execution
+        path — so ``y`` and the instruction counters are exact.
         ``slice_height``/``sigma``/``block_shape`` default to the
         context's.  Calls with the default input vector are memoized —
         keyed by the variant, the configuration, and a value-inclusive
@@ -352,9 +296,7 @@ class ExecutionContext:
         if x is None:
             x = self._default_x(csr.shape[1])
         with obs_event(f"Measure:{variant.name}"):
-            y, counters = self._execute(
-                variant, csr, mat, x, slice_height, sigma, block_shape
-            )
+            y, counters = self._execute(variant, csr, mat, x)
         obs = active_observer()
         if obs is not None:
             obs.metrics.record_kernel_counters(counters, variant.name)
@@ -395,44 +337,27 @@ class ExecutionContext:
         )
 
     def _execute(
-        self,
-        variant: KernelVariant,
-        csr: AijMat,
-        mat: Mat,
-        x: np.ndarray,
-        slice_height: int,
-        sigma: int,
-        block_shape: tuple[int, int] | None = None,
+        self, variant: KernelVariant, csr: AijMat, mat: Mat, x: np.ndarray
     ) -> tuple[np.ndarray, "KernelCounters"]:
         """Run one kernel down the graceful-degradation ladder.
 
-        Rung 1 is the normal path (traced replay, or interpreted when
-        traces are off); its output passes through the ``engine.output``
-        fault-injection site and, with :attr:`abft` on, the checksum
-        verification.  A detected corruption invalidates any cached trace
-        and retries on rung 2 (fresh interpreted execution); if that also
-        fails verification — or faults on alignment — rung 3 runs the
-        trusted scalar CSR reference kernel, which is never injected.
-        With ABFT off the ladder collapses to rung 1 exactly as before.
+        Rung 1 is the interpreted kernel; its output passes through the
+        ``engine.output`` fault-injection site and, with :attr:`abft` on,
+        the checksum verification.  A detected corruption retries on
+        rung 2 (a fresh interpreted execution); if that also fails
+        verification — or faults on alignment — rung 3 runs the trusted
+        scalar CSR reference kernel, which is never injected.  With ABFT
+        off the ladder collapses to rung 1.
         """
         checker = AbftChecker(mat, rtol=self.abft_rtol) if self.abft else None
-        try:
-            if self.use_traces:
-                y, counters = self._traced_run(
-                    variant, csr, mat, x, slice_height, sigma, block_shape
-                )
-            else:
-                y, counters = self._interpreted_run(variant, mat, x)
+        with contextlib.suppress(SdcDetected):
+            y, counters = self._interpreted_run(variant, mat, x)
             spec = fire_fault("engine.output")
             if spec is not None and spec.kind in CORRUPTION_KINDS:
                 corrupt_product(spec, y, x, checker, site="engine.output")
             if checker is not None:
                 checker.verify(x, y, site="engine.output")
             return y, counters
-        except SdcDetected:
-            self._invalidate_trace(
-                variant, csr, slice_height, sigma, block_shape
-            )
         emit_fault_event(
             "degraded", "dispatch", "interpreted", detail=variant.name
         )
@@ -469,165 +394,6 @@ class ExecutionContext:
             engine=self.engine(variant.isa),
         )
 
-    def _trace_key(
-        self,
-        variant: KernelVariant,
-        csr: AijMat,
-        slice_height: int,
-        sigma: int,
-        block_shape: tuple[int, int] | None = None,
-    ) -> tuple:
-        return SignatureRegistry.trace_key(
-            variant.name, slice_height, sigma, self.strict_alignment, csr,
-            block_shape=block_shape,
-        )
-
-    def _invalidate_trace(
-        self,
-        variant: KernelVariant,
-        csr: AijMat,
-        slice_height: int,
-        sigma: int,
-        block_shape: tuple[int, int] | None = None,
-    ) -> None:
-        """Drop a cached trace (and its fused plan) that failed verification.
-
-        Both the ``trace`` and ``mega`` entries go, in memory *and* on
-        the attached plan cache (``registry.invalidate`` evicts the disk
-        file for persisted namespaces) — a corrupted plan must never
-        resurrect in a later process.
-        """
-        key = self._trace_key(variant, csr, slice_height, sigma, block_shape)
-        removed = self.registry.invalidate("trace", key)
-        removed = self.registry.invalidate("mega", key) or removed
-        if removed:
-            self.registry.clear_replay(key)
-            emit_fault_event(
-                "recovered", "trace.cache", "invalidated", detail=variant.name
-            )
-
-    def _traced_run(
-        self,
-        variant: KernelVariant,
-        csr: AijMat,
-        mat: Mat,
-        x: np.ndarray,
-        slice_height: int,
-        sigma: int,
-        block_shape: tuple[int, int] | None = None,
-    ) -> tuple[np.ndarray, "KernelCounters"]:
-        """Record-once/replay-many execution of one variant on one structure.
-
-        The trace cache is keyed by the *structural* signature: the
-        instruction stream is value-independent, so a reassembled operator
-        (same stencil, new coefficients) replays the existing trace.  A
-        kernel the trace layer cannot represent falls back to interpreted
-        execution transparently.
-
-        A cache hit is the ``trace.replay`` fault-injection site (a stale
-        or corrupted cached trace); with :attr:`audit_interval` set, every
-        Nth replay is additionally cross-checked bit-exactly against a
-        fresh interpreted run, and a mismatch invalidates the trace and
-        returns the interpreted result.
-        """
-        from .traced import acquire_trace
-
-        key = self._trace_key(variant, csr, slice_height, sigma, block_shape)
-        try:
-            trace, recorded = acquire_trace(
-                variant, self.registry, key, mat, x,
-                strict_alignment=self.strict_alignment,
-            )
-        except TraceError:
-            return self._interpreted_run(variant, mat, x)
-        if recorded is not None:
-            # This call was the single-flight leader: the recording run
-            # doubles as the measurement, exactly as before.
-            return recorded
-        y, counters = self._replay_best_tier(variant, trace, key, mat, x)
-        spec = fire_fault("trace.replay")
-        if spec is not None and spec.kind in CORRUPTION_KINDS:
-            checker = (
-                AbftChecker(csr, rtol=self.abft_rtol) if self.abft else None
-            )
-            corrupt_product(spec, y, x, checker, site="trace.replay")
-        if self.audit_interval > 0:
-            count = self.registry.bump_replay(key)
-            if count % self.audit_interval == 0:
-                audited, audited_counters = self._interpreted_run(
-                    variant, mat, x
-                )
-                if not np.array_equal(y, audited):
-                    emit_fault_event(
-                        "detected", "trace.audit", "mismatch",
-                        detail=variant.name,
-                    )
-                    self.registry.invalidate("trace", key)
-                    self.registry.invalidate("mega", key)
-                    self.registry.clear_replay(key)
-                    emit_fault_event(
-                        "recovered", "trace.cache", "invalidated",
-                        detail=variant.name,
-                    )
-                    return audited, audited_counters
-        return y, counters
-
-    def _replay_best_tier(
-        self,
-        variant: KernelVariant,
-        trace,
-        key: tuple,
-        mat: Mat,
-        x: np.ndarray,
-    ) -> tuple[np.ndarray, "KernelCounters"]:
-        """Replay through the deepest enabled compiler tier.
-
-        With :attr:`use_megakernels` on, the trace's fused program is
-        compiled at most once per structure (``mega`` namespace, persisted
-        alongside the trace when a plan cache is attached; an unfusable
-        trace caches a ``None`` verdict so it is mined exactly once) and
-        replayed; any :class:`TraceError` from fusion or fused replay
-        degrades to plain trace replay — same ``y``, same counters.
-        """
-        if self.use_megakernels:
-            mega = self.registry.get_or_compute(
-                "mega", key, lambda: self._compile_megakernel(trace)
-            )
-            if mega is not None:
-                try:
-                    return variant.replay(mega, mat, x)
-                except TraceError:
-                    obs_counter("context.megakernel_fallbacks")
-        return variant.replay(trace, mat, x)
-
-    @staticmethod
-    def _compile_megakernel(trace):
-        """Fuse one compiled trace; ``None`` is the unfusable verdict."""
-        from ..simd.megakernel import compile_megakernel
-
-        # The cold-start gate counts these alongside recordings: a warm
-        # plan cache must satisfy the mega namespace without compiling.
-        obs_counter("compiler.megakernel_compiles")
-        try:
-            return compile_megakernel(trace)
-        except TraceError:
-            return None
-
-    # -- fused solver-level dispatch -----------------------------------
-    def dispatch_superop(self, name: str, *args):
-        """Run a registered fused solver-level op by name.
-
-        Resolves through :func:`repro.core.dispatch.get_superop` and
-        ticks a ``context.superops`` counter per dispatch.  Callers keep
-        their own fallback: an unfusable operand combination raises
-        :class:`TraceError` from the super-op itself.
-        """
-        from .dispatch import get_superop
-
-        sop = get_superop(name)
-        obs_counter("context.superops", labels={"name": name})
-        return sop.fn(*args)
-
     def predict(
         self,
         measurement: SpmvMeasurement,
@@ -644,12 +410,19 @@ class ExecutionContext:
         )
 
     # -- static verification (the analyzer hook) -----------------------
-    def verify_variant(self, variant: KernelVariant | str, csr: AijMat):
+    def verify_variant(
+        self,
+        variant: KernelVariant | str,
+        csr: AijMat,
+        sigma: int | None = None,
+        block_shape: tuple[int, int] | None = None,
+    ):
         """Statically verify ``variant`` on ``csr``; an ``AnalysisReport``.
 
         Records one execution under the context's execution policy
-        (``slice_height``/``sigma``/``strict_alignment``) and runs the
-        full :mod:`repro.analysis` lint over the trace — including the
+        (``slice_height``/``strict_alignment``, and ``sigma``/
+        ``block_shape`` unless given) and runs the full
+        :mod:`repro.analysis` lint over the trace — including the
         numerical certifier, so a kernel whose rounding error cannot be
         bounded (``NUM0xx``) fails verification and is refused by
         :meth:`best_variant` under ``verify_variants=True`` exactly like
@@ -661,9 +434,10 @@ class ExecutionContext:
 
         if isinstance(variant, str):
             variant = get_variant(variant)
-        bs = self._block_shape_for(variant)
+        s = self.sigma if sigma is None else sigma
+        bs = self._block_shape_for(variant, block_shape)
         key = SignatureRegistry.verify_key(
-            variant.name, csr, self.slice_height, self.sigma,
+            variant.name, csr, self.slice_height, s,
             self.strict_alignment, block_shape=bs,
         )
         return self.registry.get_or_compute(
@@ -673,7 +447,7 @@ class ExecutionContext:
                 variant,
                 csr,
                 slice_height=self.slice_height,
-                sigma=self.sigma,
+                sigma=s,
                 strict_alignment=self.strict_alignment,
                 block_shape=bs,
             ),
@@ -684,11 +458,10 @@ class ExecutionContext:
 
         A :class:`repro.analysis.numlint.NumericalCertificate`: the
         per-row accumulation terms and the analytic worst-case rounding
-        bound the kernel's recorded instruction stream implies.  Replay
-        and megakernel tiers execute the recorded accumulation order
-        bit-identically (the record/replay equivalence contract), so one
-        certificate covers every compiler tier.  Memoized under the
-        structure-only signature, like the trace it derives from.
+        bound the kernel's recorded instruction stream implies.  The
+        recording runs the interpreted engine's accumulation order, so the
+        certificate covers what :meth:`measure` executes.  Memoized under
+        the structure-only signature, like the trace it derives from.
         """
         from ..analysis.kernel import certify_variant
 
@@ -803,7 +576,9 @@ class ExecutionContext:
                             continue  # format constraint (block size, masks)
                         if (
                             self.verify_variants
-                            and not self.verify_variant(variant, csr).ok
+                            and not self.verify_variant(
+                                variant, csr, sigma=sigma, block_shape=shape
+                            ).ok
                         ):
                             continue  # statically defective; refuse
                         perf = self.predict(meas, scale=scale)
@@ -948,10 +723,10 @@ class ExecutionContext:
     def _policy_key(self) -> tuple:
         """What distinguishes this context's *pricing* in shared caches.
 
-        Engine measurements, traces, and prepared formats depend only on
-        the kernel and the matrix; tune results and autotune winners also
-        depend on the machine being priced.  Their registry keys carry
-        this tuple so context views at different rank counts or on
+        Engine measurements, verifier verdicts and prepared formats depend
+        only on the kernel and the matrix; tune results and autotune
+        winners also depend on the machine being priced.  Their registry
+        keys carry this tuple so context views at different rank counts or on
         different machines coexist in one shared registry.
         """
         return (self.spec.name, self.memory_mode.value, self.nprocs)
@@ -969,7 +744,7 @@ class ExecutionContext:
         """Same machine and policy at a different rank count.
 
         Shares the registry; machine-independent entries (measurements,
-        traces, prepared formats) are reused directly, while tune/best
+        verdicts, prepared formats) are reused directly, while tune/best
         entries are policy-keyed, so the re-priced rank count sweeps
         fresh without disturbing the original's decisions.
         """
@@ -985,7 +760,7 @@ class ExecutionContext:
         self, model: PerfModel, nprocs: int | None
     ) -> "ExecutionContext":
         # Shared by design: the registry's machine-independent namespaces
-        # (measure/trace/prepare/default_x) serve every view, and the
+        # (measure/prepare/default_x) serve every view, and the
         # policy-keyed namespaces (tune/best) partition by machine+ranks.
         return ExecutionContext(
             model=model,
@@ -996,12 +771,8 @@ class ExecutionContext:
             sigma=self.sigma,
             block_shape=self.block_shape,
             default_variant=self.default_variant,
-            use_traces=self.use_traces,
-            use_megakernels=self.use_megakernels,
-            plan_cache_dir=self.plan_cache_dir,
             abft=self.abft,
             abft_rtol=self.abft_rtol,
-            audit_interval=self.audit_interval,
             verify_variants=self.verify_variants,
             max_send_retries=self.max_send_retries,
             registry=self.registry,

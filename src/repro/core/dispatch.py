@@ -278,102 +278,3 @@ FIGURE11_VARIANTS: tuple[KernelVariant, ...] = (
     CSR_AVX512,
     SELL_AVX512,
 )
-
-
-# ---------------------------------------------------------------------------
-# Solver-level super-ops: fused engine-op sequences above single kernels.
-#
-# The megakernel tier (:mod:`repro.simd.megakernel`) fuses *within* one
-# kernel's trace; super-ops extend the same idea one level up, fusing the
-# fixed op sequences a Krylov iteration dispatches back-to-back — the
-# MatMult+PCApply pair and the Gram-Schmidt VecMDot/VecNorm tail — into
-# single passes with bit-identical arithmetic order.  They live in the
-# same open-registry style as kernel variants so a solver (or a context's
-# :meth:`~repro.core.context.ExecutionContext.dispatch_superop`) resolves
-# them by name; an operand combination a super-op cannot fuse raises
-# :class:`~repro.simd.trace.TraceError` and the caller falls back to the
-# separate ops.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SuperOp:
-    """One registered fused solver-level operation."""
-
-    name: str
-    fn: Callable
-
-
-SUPER_OPS: dict[str, SuperOp] = {}
-
-
-def register_superop(name: str):
-    """Register a fused solver-level op under ``name`` (decorator)."""
-
-    def decorate(fn: Callable) -> Callable:
-        existing = SUPER_OPS.get(name)
-        if existing is not None and existing.fn is not fn:
-            raise ValueError(f"super-op {name!r} is already registered")
-        SUPER_OPS[name] = SuperOp(name, fn)
-        return fn
-
-    return decorate
-
-
-def get_superop(name: str) -> SuperOp:
-    """Look up a registered super-op by name."""
-    if name not in SUPER_OPS:
-        raise KeyError(
-            f"unknown super-op {name!r}; known: {sorted(SUPER_OPS)}"
-        )
-    return SUPER_OPS[name]
-
-
-@register_superop("matmult_pcapply")
-def fused_matmult_pcapply(op, pc, x: np.ndarray) -> np.ndarray:
-    """``z = D^-1 (A @ x)``: MatMult and Jacobi PCApply in one pass.
-
-    The product vector is fresh, so the diagonal scaling lands in place —
-    one dispatch and zero extra allocations instead of two dispatches and
-    a temporary.  Bit-identical to ``pc.apply(op.multiply(x))``: the same
-    elementwise multiply on the same operands in the same order.  A
-    preconditioner without a fusable ``inv_diag`` (anything non-Jacobi,
-    or one not yet set up) raises ``TraceError`` for the caller's
-    fallback path.
-    """
-    from ..simd.trace import TraceError
-
-    inv_diag = getattr(pc, "inv_diag", None)
-    if inv_diag is None:
-        raise TraceError(
-            f"{type(pc).__name__} exposes no inverse diagonal to fuse"
-        )
-    ax = op.multiply(x)
-    if inv_diag.shape != ax.shape:
-        raise TraceError("preconditioner diagonal does not conform")
-    np.multiply(inv_diag, ax, out=ax)
-    return ax
-
-
-@register_superop("gmres_mgs_tail")
-def fused_mgs_tail(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt sweep + norm as one fused tail.
-
-    Orthogonalizes ``w`` (in place) against the ``basis`` rows and
-    returns the Hessenberg column ``[h_0 .. h_{k}, ||w||]`` — GMRES's
-    VecMDot/VecNorm tail in a single call.  The arithmetic is the
-    textbook MGS recurrence verbatim (sequential dot, scale, subtract
-    per basis vector, then ``sqrt(w.w)`` — exactly what
-    ``np.linalg.norm`` computes for a real 1-D vector), so results are
-    bit-identical to the unfused loop; the fusion removes the per-op
-    dispatch and the per-step temporary via one reused scratch buffer.
-    """
-    k1 = basis.shape[0]
-    h = np.empty(k1 + 1, dtype=np.float64)
-    scratch = np.empty_like(w)
-    for i in range(k1):
-        hi = float(w @ basis[i])
-        h[i] = hi
-        np.multiply(basis[i], hi, out=scratch)
-        np.subtract(w, scratch, out=w)
-    h[k1] = np.sqrt(w @ w)
-    return h

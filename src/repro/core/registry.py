@@ -1,20 +1,20 @@
 """SignatureRegistry: the shared, concurrency-safe memoization store.
 
-The per-call caches that grew inside :class:`~repro.core.context.ExecutionContext`
-(tune/measure memos from PR 1, the structure-keyed trace cache from PR 2,
-verifier verdicts from PR 4) all share one organizing idea: the sparsity
-*signature* (:func:`repro.mat.sparsity.signature`) is the exact key under
-which preprocessing amortizes — the same structure-only amortization
-argument SELL-C-sigma makes for its inspector step.  This module lifts
+The caches of :class:`~repro.core.context.ExecutionContext` (tune and
+measure memos, prepared formats, verifier verdicts and rounding
+certificates) all share one organizing idea: the sparsity *signature*
+(:func:`repro.mat.sparsity.signature`) is the exact key under which
+preprocessing amortizes — the same structure-only amortization argument
+SELL-C-sigma makes for its inspector step.  This module lifts
 that idea out of the context into a long-lived registry that thousands of
 concurrent requests (the :mod:`repro.serve` front door) can share:
 
 * **lock striping** — entries hash onto a small array of stripes, each
   with its own lock and LRU list, so unrelated signatures never contend;
 * **single-flight** — concurrent misses on one key elect exactly one
-  *leader* that runs the factory (records the trace, runs the tune sweep)
+  *leader* that runs the factory (converts the format, runs the tune sweep)
   while the other threads wait and then reuse the leader's result, so an
-  uncached signature is recorded/tuned exactly once however many requests
+  uncached signature is converted/tuned exactly once however many requests
   race on it;
 * **LRU eviction** — each stripe evicts its least-recently-used completed
   entries past its share of ``capacity``, bounding a long-lived server's
@@ -24,9 +24,9 @@ concurrent requests (the :mod:`repro.serve` front door) can share:
   :mod:`repro.obs` observer is installed, ``registry.*`` counters.
 
 The registry is also the *single definition of the cache key*: every
-namespace's key layout lives in one ``*_key`` helper here, so the context,
-the trace wiring (:mod:`repro.core.traced`), and the serving layer can
-never drift apart on what identifies a cached artifact.
+namespace's key layout lives in one ``*_key`` helper here, so the context
+and the serving layer can never drift apart on what identifies a cached
+artifact.
 
 Contexts hold a registry and become cheap views over it: a fresh
 :class:`~repro.core.context.ExecutionContext` makes its own private
@@ -51,26 +51,12 @@ from ..obs.observer import obs_counter
 NAMESPACES = (
     "measure",
     "prepare",
-    "trace",
-    "mega",
     "tune",
     "best",
     "verify",
     "numcert",
     "default_x",
 )
-
-#: Namespaces whose values persist to an attached on-disk
-#: :class:`~repro.simd.plan_cache.PlanCache`: the compiled trace and the
-#: fused megakernel program (including the ``None`` "unfusable" verdict)
-#: are pure functions of their structural keys, so a cold process can
-#: adopt them wholesale and skip record+compile.
-PERSISTED_NAMESPACES = ("trace", "mega")
-
-
-#: Leader-path sentinel: "the disk had nothing", distinct from a stored
-#: ``None`` value (the plan cache persists ``None`` verdicts too).
-_MISS = object()
 
 
 class _Inflight:
@@ -126,32 +112,11 @@ class SignatureRegistry:
         self._stripes = tuple(_Stripe() for _ in range(stripes))
         self._per_stripe_capacity = max(1, -(-capacity // stripes))
         self.capacity = capacity
-        self._plan_cache = None
         self._stats_lock = threading.Lock()
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
         self._evictions = 0
         self._single_flight_waits = 0
-        # Replay counts are mutable per-trace tallies, not cached values;
-        # they live beside the store under their own lock.
-        self._replay_lock = threading.Lock()
-        self._replay_counts: dict[tuple, int] = {}
-
-    # -- on-disk persistence -------------------------------------------
-    def attach_plan_cache(self, plan_cache) -> None:
-        """Back :data:`PERSISTED_NAMESPACES` with an on-disk plan store.
-
-        Once attached, a single-flight leader consults the disk before
-        running its factory (a cold process with a warm store performs
-        zero record+compile work) and persists what the factory builds;
-        :meth:`invalidate` evicts the file along with the memory entry.
-        """
-        self._plan_cache = plan_cache
-
-    @property
-    def plan_cache(self):
-        """The attached :class:`~repro.simd.plan_cache.PlanCache` or None."""
-        return self._plan_cache
 
     # -- the single definition of the cache keys -----------------------
     @staticmethod
@@ -188,18 +153,6 @@ class SignatureRegistry:
         are unaffected by the knob's existence.
         """
         return (fmt, slice_height, sigma, cls.content_key(csr), block_shape)
-
-    @classmethod
-    def trace_key(
-        cls, variant_name: str, slice_height: int, sigma: int,
-        strict_alignment: bool, csr, block_shape: tuple[int, int] | None = None,
-    ) -> tuple:
-        """Key of a recorded trace — *structural*: traces are
-        value-independent, so a reassembled operator keeps its trace."""
-        return (
-            variant_name, slice_height, sigma, strict_alignment,
-            cls.structure_key(csr), block_shape,
-        )
 
     @classmethod
     def tune_key(
@@ -247,8 +200,8 @@ class SignatureRegistry:
         strict_alignment: bool, block_shape: tuple[int, int] | None = None,
     ) -> tuple:
         """Key of a numerical rounding certificate — structural, like the
-        trace it is derived from: the accumulation tree depends on the
-        sparsity pattern, never on the coefficient values."""
+        recorded trace it is derived from: the accumulation tree depends
+        on the sparsity pattern, never on the coefficient values."""
         return (
             variant_name, cls.structure_key(csr), slice_height, sigma,
             strict_alignment, block_shape,
@@ -315,17 +268,7 @@ class SignatureRegistry:
 
         self._count_miss(namespace)
         try:
-            value = _MISS
-            if (
-                self._plan_cache is not None
-                and namespace in PERSISTED_NAMESPACES
-            ):
-                found, persisted = self._plan_cache.fetch(namespace, key)
-                if found:
-                    value = persisted
-            persisted_hit = value is not _MISS
-            if not persisted_hit:
-                value = factory()
+            value = factory()
         except BaseException:
             with stripe.lock:
                 if stripe.entries.get(full_key) is inflight:
@@ -338,13 +281,6 @@ class SignatureRegistry:
                 stripe.entries.move_to_end(full_key)
                 self._evict_locked(stripe)
         inflight.event.set()
-        if (
-            not persisted_hit
-            and self._plan_cache is not None
-            and namespace in PERSISTED_NAMESPACES
-        ):
-            # Best-effort: a failed write degrades to recompute-next-boot.
-            self._plan_cache.store(namespace, key, value)
         return value
 
     def _evict_locked(self, stripe: _Stripe) -> None:
@@ -388,10 +324,7 @@ class SignatureRegistry:
         """Drop a completed entry; True when something was removed.
 
         An inflight computation is left alone — its leader will publish,
-        and a later invalidation can remove the published value.  For
-        :data:`PERSISTED_NAMESPACES` with an attached plan cache the
-        on-disk file is evicted too — a corrupted plan detected by the
-        ABFT audit must never resurrect from disk in a later process.
+        and a later invalidation can remove the published value.
         """
         full_key = (namespace, *key)
         stripe = self._stripe_of(full_key)
@@ -400,22 +333,7 @@ class SignatureRegistry:
             removed = isinstance(entry, _Entry)
             if removed:
                 del stripe.entries[full_key]
-        if self._plan_cache is not None and namespace in PERSISTED_NAMESPACES:
-            removed = self._plan_cache.evict(namespace, key) or removed
         return removed
-
-    # -- replay tallies (mutable per-trace counters) -------------------
-    def bump_replay(self, key: tuple) -> int:
-        """Increment and return the replay count of a trace key."""
-        with self._replay_lock:
-            count = self._replay_counts.get(key, 0) + 1
-            self._replay_counts[key] = count
-            return count
-
-    def clear_replay(self, key: tuple) -> None:
-        """Forget the replay tally of an invalidated trace."""
-        with self._replay_lock:
-            self._replay_counts.pop(key, None)
 
     # -- introspection -------------------------------------------------
     def size(self, namespace: str | None = None) -> int:
@@ -451,7 +369,7 @@ class SignatureRegistry:
             total_hits = sum(hits.values())
             total_misses = sum(misses.values())
             lookups = total_hits + total_misses
-            out = {
+            return {
                 "hits": hits,
                 "misses": misses,
                 "hit_rate": total_hits / lookups if lookups else 0.0,
@@ -460,17 +378,12 @@ class SignatureRegistry:
                 "entries": entries,
                 "capacity": self.capacity,
             }
-        if self._plan_cache is not None:
-            out["plan_cache"] = self._plan_cache.stats()
-        return out
 
     def clear(self) -> None:
-        """Drop every entry, tally, and statistic."""
+        """Drop every entry and statistic."""
         for stripe in self._stripes:
             with stripe.lock:
                 stripe.entries.clear()
-        with self._replay_lock:
-            self._replay_counts.clear()
         with self._stats_lock:
             self._hits.clear()
             self._misses.clear()

@@ -73,10 +73,10 @@ def measure(
     ``engine`` lets an :class:`~repro.core.context.ExecutionContext` supply
     a policy-carrying engine instead of the default per-call one.
 
-    ``mat`` supplies an already-prepared format (skipping the conversion),
-    and ``trace`` a recorded :class:`~repro.simd.replay.KernelTrace` to
-    replay instead of interpreting — both are how the context's caches
-    avoid redundant work on repeated measurements of one structure.
+    ``mat`` supplies an already-prepared format (skipping the
+    conversion), and ``trace`` a recorded
+    :class:`~repro.simd.replay.KernelTrace` to replay instead of
+    interpreting.
     """
     if isinstance(variant, str):
         variant = get_variant(variant)

@@ -11,9 +11,12 @@ are structure-derived and get baked into the trace by value.
 
 :func:`record_trace` runs a kernel once through a
 :class:`~repro.simd.trace.TraceRecorder` (returning the compiled trace
-*and* that run's exact y/counters, so the recording doubles as the first
-measurement), and :func:`replay_trace` executes a compiled trace against a
-same-structure matrix and a new input vector.
+*and* that run's exact y/counters), and :func:`replay_trace` executes a
+compiled trace against a same-structure matrix and a new input vector.
+No execution path dispatches to them: :meth:`ExecutionContext.measure
+<repro.core.context.ExecutionContext.measure>` always interprets.  They
+serve the static analyzers (which lint the recorded stream), the
+differential verifier and the bench smoke gates.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 
 from ..mat.base import Mat
 from ..memory.spaces import aligned_alloc
-from ..obs.observer import obs_counter
 from ..simd.counters import KernelCounters
 from ..simd.replay import KernelTrace, compile_trace
 from ..simd.trace import TraceError, TraceRecorder
@@ -38,8 +40,7 @@ def register_trace_buffers(*fmts: str):
 
     The returned dict must name every float array the kernel loads matrix
     values from or stores results to, excluding ``x``/``y`` (bound by the
-    harness).  A format without a registered map cannot be traced and
-    falls back to interpreted execution.
+    harness).  A format without a registered map cannot be traced.
     """
 
     def decorate(fn: Callable[[Mat], dict[str, np.ndarray]]):
@@ -90,12 +91,8 @@ def record_trace(
 
     ``y`` and ``counters`` come from the recording run itself — the
     recorder defers every instruction to the interpreted engine, so they
-    are exactly what :meth:`KernelVariant.run` would have produced, and
-    the recording serves as the first measurement for free.
+    are exactly what :meth:`KernelVariant.run` would have produced.
     """
-    # The cold-start gate counts these: a process replaying from a warm
-    # on-disk plan cache must perform zero recordings.
-    obs_counter("compiler.recordings")
     recorder = TraceRecorder(variant.isa, strict_alignment=strict_alignment)
     y = aligned_alloc(mat.shape[0], np.float64, 64)
     recorder.bind_buffers(trace_buffers(variant.fmt, mat))
@@ -115,39 +112,3 @@ def replay_trace(
     buffers["y"] = y
     counters = trace.replay(buffers)
     return y, counters
-
-
-def acquire_trace(
-    variant,
-    registry,
-    key: tuple,
-    mat: Mat,
-    x: np.ndarray,
-    strict_alignment: bool = False,
-) -> tuple[KernelTrace, tuple[np.ndarray, KernelCounters] | None]:
-    """Get the trace under ``key``, recording it at most once.
-
-    The registry's single-flight semantics elect one leader among
-    concurrent callers for an uncached structure; only the leader runs
-    the recording, and it gets the recording run's exact ``(y,
-    counters)`` back as the second element (the recording doubles as the
-    first measurement).  Everyone else — cache hits and single-flight
-    waiters alike — receives ``(trace, None)`` and replays.
-
-    ``key`` must come from
-    :meth:`repro.core.registry.SignatureRegistry.trace_key` — the single
-    definition of the trace cache key.  A kernel the trace layer cannot
-    represent raises :class:`TraceError` out of the recording (nothing
-    is cached) for the caller to fall back to interpretation.
-    """
-    recorded: dict[str, tuple[np.ndarray, KernelCounters]] = {}
-
-    def record() -> KernelTrace:
-        trace, y, counters = record_trace(
-            variant, mat, x, strict_alignment=strict_alignment
-        )
-        recorded["run"] = (y, counters)
-        return trace
-
-    trace = registry.get_or_compute("trace", key, record)
-    return trace, recorded.get("run")

@@ -4,9 +4,9 @@ A campaign (:func:`run_campaign`) arms one seed-generated
 :class:`~repro.faults.plan.FaultPlan` and drives six phases that exercise
 every injection site the stack registers:
 
-1. **Trace engine** — repeated ``ctx.measure`` calls (ABFT + audits on)
-   absorb ``engine.output`` output corruptions and ``trace.replay``
-   cached-trace corruptions through the dispatch degradation ladder;
+1. **Kernel engine** — ``ctx.measure`` calls (ABFT on) across the
+   site's whole scheduling window absorb ``engine.output`` output
+   corruptions through the dispatch degradation ladder;
 2. **Sequential solver** — a Gray–Scott GMRES solve whose operator is
    ABFT-wrapped rides out ``spmv.output`` corruptions by rolling back to
    the last verified iterate;
@@ -49,8 +49,7 @@ from .plan import CORRUPTION_KINDS, FaultInjector, FaultPlan, FaultSpec, inject
 #: separate rank-death fault of phase 5 and the two elastic faults of
 #: phase 6 the campaign injects 53 faults.
 SITE_BUDGETS = {
-    "engine.output": 5,
-    "trace.replay": 5,
+    "engine.output": 10,
     "spmv.output": 12,
     "comm.send@0": 5,
     "comm.send@1": 5,
@@ -61,7 +60,6 @@ SITE_BUDGETS = {
 
 SITE_KINDS = {
     "engine.output": ("bitflip", "nan"),
-    "trace.replay": ("bitflip", "nan"),
     "spmv.output": ("bitflip", "nan"),
     "comm.send@0": ("drop", "straggle"),
     "comm.send@1": ("drop", "straggle"),
@@ -173,19 +171,16 @@ def run_campaign(seed: int, grid: int = 16) -> CampaignResult:
 
     with capture() as log:
         with inject(injector):
-            # -- phase 1: the trace engine under output/trace corruption --
+            # -- phase 1: the kernel engine under output corruption --------
             csr_small = gray_scott_jacobian(grid // 2)
             ctx = ExecutionContext(
-                abft=True, audit_interval=4,
-                default_variant="SELL using AVX512",
+                abft=True, default_variant="SELL using AVX512"
             )
             variant = get_variant("SELL using AVX512")
             xs = _fresh_xs(seed * 7 + 1, csr_small.shape[1])
-            for _ in range(_DRAIN_CAP):
-                if not (
-                    injector.pending("engine.output")
-                    or injector.pending("trace.replay")
-                ):
+            # Cover the site's whole scheduling window, then drain.
+            for call in range(_DRAIN_CAP):
+                if call >= MAX_CALL and not injector.pending("engine.output"):
                     break
                 x = next(xs)
                 meas = ctx.measure(variant, csr_small, x=x)
@@ -296,7 +291,6 @@ def run_campaign(seed: int, grid: int = 16) -> CampaignResult:
         )
         baseline = GMRES(
             restart=20, pc=JacobiPC(), rtol=1e-10, max_it=400,
-            use_superops=False,
         ).solve(csr6, b6)
         elastic_faults = FaultInjector(
             FaultPlan(

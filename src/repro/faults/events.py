@@ -19,7 +19,7 @@ isolated stream swap their own in with :func:`capture`::
     assert not log.of("detected")
 
 Counts can additionally flow into a PETSc-style
-:class:`~repro.profiling.EventLog` (as call-count-only events) by
+:class:`~repro.obs.eventlog.EventLog` (as call-count-only events) by
 attaching one with :meth:`ResilienceLog.attach`.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..profiling import EventLog
+    from ..obs.eventlog import EventLog
 
 #: The recognized event actions, in escalation order.
 ACTIONS = ("injected", "detected", "recovered", "degraded", "benign")
@@ -42,7 +42,7 @@ class ResilienceEvent:
     """One fault-lifecycle event.
 
     ``site`` names where it happened (an injection site or detector
-    location, e.g. ``"spmv.output"`` or ``"trace.audit"``), ``kind`` the
+    location, e.g. ``"spmv.output"`` or ``"engine.output"``), ``kind`` the
     fault or detector flavour (``"bitflip"``, ``"abft"``, ``"retry"``),
     ``call`` the site's call counter when known, and ``detail`` free text.
     """

@@ -15,8 +15,7 @@ Sites are strings.  The ones wired through the stack:
 
 =====================  ====================================================
 ``spmv.output``        solver-level SpMV product (:class:`~repro.faults.abft.AbftOperator`)
-``engine.output``      engine/replay execution inside ``ExecutionContext``
-``trace.replay``       a trace-cache hit (models a stale/corrupt cached trace)
+``engine.output``      interpreted kernel execution inside ``ExecutionContext``
 ``comm.send@R``        rank R's point-to-point sends (drop / straggle / kill)
 ``network.message``    the modeled interconnect (straggler latency spikes)
 ``ckpt.write``         a checkpoint save (:class:`~repro.ksp.checkpoint.CheckpointStore`): corruption = torn write caught by CRC on load, drop = lost write

@@ -16,8 +16,7 @@ import numpy as np
 
 from ..faults.abft import SdcDetected
 from ..faults.events import emit
-from ..obs.observer import obs_bump, obs_event
-from ..simd.trace import TraceError
+from ..obs.observer import obs_event
 from .base import (
     KSP,
     ConvergedReason,
@@ -31,36 +30,10 @@ from .checkpoint import CheckpointError, Checkpointer, SolverCheckpoint
 
 @dataclass
 class GMRES(KSP):
-    """GMRES(restart) with a pluggable preconditioner.
-
-    With :attr:`use_superops` (the default), the Arnoldi loop dispatches
-    its two fixed op sequences through the fused super-ops of
-    :mod:`repro.core.dispatch` — ``matmult_pcapply`` collapses the
-    MatMult+Jacobi-PCApply pair into one pass, and ``gmres_mgs_tail``
-    fuses the modified-Gram-Schmidt VecMDot/VecNorm tail — with
-    bit-identical arithmetic and graceful per-call fallback to the
-    separate ops on :class:`~repro.simd.trace.TraceError` (e.g. a
-    non-Jacobi preconditioner).  An attached context's
-    ``use_megakernels=False`` disables the fused paths wholesale.
-    """
+    """GMRES(restart) with a pluggable preconditioner."""
 
     restart: int = 30
     pc: object = field(default_factory=IdentityPC)
-    use_superops: bool = True
-
-    def _superops_enabled(self) -> bool:
-        if not self.use_superops:
-            return False
-        if self.context is not None:
-            return bool(getattr(self.context, "use_megakernels", True))
-        return True
-
-    def _dispatch_superop(self, name: str, *args):
-        if self.context is not None:
-            return self.context.dispatch_superop(name, *args)
-        from ..core.dispatch import get_superop
-
-        return get_superop(name).fn(*args)
 
     def solve(
         self,
@@ -178,47 +151,27 @@ class GMRES(KSP):
                     k_start = 0
                     k_used = 0
 
-                fused = self._superops_enabled()
+                scratch = np.empty(n)
                 cycle_reason: ConvergedReason | None = None
                 for k in range(k_start, m):
                     if total_it >= self.max_it:
                         break
-                    w = None
-                    if fused:
-                        try:
-                            with obs_event("MatMultPCApply"):
-                                w = self._dispatch_superop(
-                                    "matmult_pcapply", op, self.pc, v[k]
-                                )
-                            # The fused pass still *is* one MatMult and
-                            # one PCApply: keep the PETSc call counts
-                            # comparable (the time stays on the fused
-                            # event, which is where it was spent).
-                            obs_bump("MatMult")
-                            obs_bump("PCApply")
-                        except TraceError:
-                            w = None  # unfusable PC: separate dispatches
-                    if w is None:
-                        with obs_event("MatMult"):
-                            av = op.multiply(v[k])
-                        with obs_event("PCApply"):
-                            w = self.pc.apply(av)
-                    # Modified Gram-Schmidt (fused: one VecMDot/VecNorm
-                    # tail call, bit-identical recurrence).
-                    if fused:
-                        with obs_event("VecMDotNorm"):
-                            hcol = self._dispatch_superop(
-                                "gmres_mgs_tail", w, v[: k + 1]
-                            )
-                        obs_bump("VecMDot")
-                        obs_bump("VecNorm")
-                        h[: k + 1, k] = hcol[:-1]
-                        h[k + 1, k] = hcol[-1]
-                    else:
+                    with obs_event("MatMult"):
+                        av = op.multiply(v[k])
+                    with obs_event("PCApply"):
+                        w = self.pc.apply(av)
+                    # Modified Gram-Schmidt: sequential dot, scale and
+                    # subtract per basis vector through one reused scratch
+                    # buffer, then sqrt(w.w) (what np.linalg.norm computes
+                    # for a real 1-D vector).
+                    with obs_event("VecMDot"):
                         for i in range(k + 1):
-                            h[i, k] = float(w @ v[i])
-                            w -= h[i, k] * v[i]
-                        h[k + 1, k] = float(np.linalg.norm(w))
+                            hi = float(w @ v[i])
+                            h[i, k] = hi
+                            np.multiply(v[i], hi, out=scratch)
+                            np.subtract(w, scratch, out=w)
+                    with obs_event("VecNorm"):
+                        h[k + 1, k] = np.sqrt(w @ w)
                     if h[k + 1, k] <= 1e-300:
                         # Happy breakdown: exact solution in the current space.
                         k_used = k + 1

@@ -128,8 +128,7 @@ class Mat(abc.ABC):
         the matrix (values, indices, row structure) streams through memory
         once for the whole batch instead of once per vector.  Runs on a
         compiled CSR handle built lazily once per matrix (SciPy's CSR
-        matmat); without SciPy it degrades to a per-column
-        :meth:`multiply` loop.
+        matmat).
 
         Column ``j`` of the result is *batch-size invariant* — identical
         bits whether ``x_j`` was multiplied alone or alongside any other
@@ -152,12 +151,7 @@ class Mat(abc.ABC):
                 f"({m}, {xs.shape[1]})"
             )
         handle = self._spmm_handle()
-        if handle is None:
-            if ys is None:
-                ys = np.zeros((m, xs.shape[1]), dtype=np.float64)
-            for j in range(xs.shape[1]):
-                self.multiply(xs[:, j], ys[:, j])
-        elif ys is None:
+        if ys is None:
             ys = np.asarray(handle @ xs, dtype=np.float64)
         else:
             ys[:] = handle @ xs
@@ -167,22 +161,17 @@ class Mat(abc.ABC):
         """The cached compiled-CSR handle ``multiply_multi`` runs on.
 
         Built once per matrix (through :meth:`to_csr`, an identity for
-        CSR itself) and reused for every batch; ``None`` when SciPy is
-        unavailable, selecting the per-column fallback.
+        CSR itself) and reused for every batch.
         """
-        cached = getattr(self, "_spmm_handle_cache", False)
-        if cached is not False:
-            return cached
-        try:
+        handle = getattr(self, "_spmm_handle_cache", None)
+        if handle is None:
             import scipy.sparse as sp
-        except ImportError:  # pragma: no cover - scipy ships with the repo
-            handle = None
-        else:
+
             csr = self.to_csr()
             handle = sp.csr_matrix(
                 (csr.val, csr.colidx, csr.rowptr), shape=csr.shape
             )
-        self._spmm_handle_cache = handle
+            self._spmm_handle_cache = handle
         return handle
 
     @abc.abstractmethod

@@ -4,8 +4,8 @@
 stack.  One service owns one :class:`~repro.core.registry.SignatureRegistry`
 (through its template :class:`~repro.core.context.ExecutionContext`) and
 derives a cheap context *view* per shard — so every shard, and every
-tenant on it, shares format conversions, recorded traces, autotune
-decisions, and verifier verdicts, with the registry's single-flight
+tenant on it, shares format conversions, autotune decisions, and
+verifier verdicts, with the registry's single-flight
 semantics guaranteeing each signature is prepared exactly once however
 many requests race on a cold cache.
 
@@ -664,7 +664,6 @@ class SolveService:
             "occupancy": self.occupancy(),
             "shards": self.shards,
             "world_size": self.world_size,
-            "compiler_tier": self.ctx.compiler_tier,
             "admission": self.admission.stats(),
             "breaker": self.breaker.stats(),
             "shard_health": health,

@@ -1,8 +1,11 @@
 """Megakernel tier: fuse batched trace steps into whole-matrix passes.
 
-:func:`compile_megakernel` is the second compiler tier above
-:func:`~repro.simd.replay.compile_trace`.  The level scheduler already
-exposes the formats' lockstep FMA chains: the compiled program issues a
+:func:`compile_megakernel` fuses the output of
+:func:`~repro.simd.replay.compile_trace` one level further.  It is
+library code for the analyzers and the bench smoke gate; no execution
+path dispatches to it (:meth:`~repro.core.context.ExecutionContext.measure`
+always interprets).  The level scheduler already exposes the formats'
+lockstep FMA chains: the compiled program issues a
 handful of big batched loads and then one ``fmadd`` step per level, each
 consuming its slice of the loads and chaining into the accumulator of
 the level below.  Plain replay still pays one NumPy dispatch per step —
@@ -14,8 +17,7 @@ This compiler mines the step list for maximal runs of those chained
 ``fmadd`` steps (same group width, each level's addend ``c`` exactly the
 previous level's destinations) and collapses every run into one
 :class:`FusedRegion`: a precomputed gather *plan* — the full
-``(levels, k, lanes)`` index arrays, the inspector step persisted by
-:mod:`repro.simd.plan_cache` — plus one fused multiply-accumulate
+``(levels, k, lanes)`` index arrays — plus one fused multiply-accumulate
 sweep.  When a chain's operands are slices of ``vload``/``gather``
 steps whose registers have no other readers, those loads are absorbed
 into the plan and dropped from the program entirely; a trailing
@@ -47,9 +49,7 @@ conservatively.  Loads are only absorbed from buffers the program never
 writes.  Masked steps (partial slices, remainder lanes) never fuse;
 they run as plain steps between regions through the shared
 :func:`~repro.simd.replay.execute_step`.  A trace with no fusible run
-raises :class:`FusionError`, and the caller falls back to plain replay
-(:class:`~repro.core.context.ExecutionContext` caches the verdict so
-the mining runs once per structure).
+raises :class:`FusionError`, and the caller falls back to plain replay.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ import numpy as np
 from .counters import KernelCounters
 from .replay import KernelTrace, bind_buffers, execute_step
 from .trace import BufferSlot, TraceError
-
-#: Bump when the fused execution semantics change: the revision is part
-#: of the on-disk plan address (:mod:`repro.simd.plan_cache`), so stale
-#: persisted plans from an older compiler never replay under a newer one.
-MEGAKERNEL_REVISION = 1
 
 #: Chains shorter than this stay plain — a one-level "region" would just
 #: re-dispatch the same multiply-add with extra bookkeeping.

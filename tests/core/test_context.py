@@ -141,6 +141,49 @@ class TestReformat:
         assert ctx.reformat(gs).slice_height == 16
 
 
+class TestSinglePath:
+    """``measure()`` interprets: tuning, conversion and measurement run no
+    trace recorder and compile nothing."""
+
+    def test_autotune_reformat_and_measure_record_and_compile_nothing(
+        self, monkeypatch
+    ):
+        import repro.core.traced as traced_mod
+        import repro.simd.megakernel as megakernel_mod
+        import repro.simd.replay as replay_mod
+        from repro.simd.trace import TraceRecorder
+
+        events: list[str] = []
+        init = TraceRecorder.__init__
+
+        def counting_init(self, *args, **kwargs):
+            events.append("TraceRecorder")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceRecorder, "__init__", counting_init)
+        for mod, name in (
+            (traced_mod, "compile_trace"),
+            (replay_mod, "compile_trace"),
+            (megakernel_mod, "compile_megakernel"),
+        ):
+            fn = getattr(mod, name)
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                events.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counting)
+
+        csr = gray_scott_jacobian(16)
+        ctx = ExecutionContext()
+        plan = ctx.best_plan(csr)
+        ctx.reformat(csr)
+        x = np.random.default_rng(0).standard_normal(csr.shape[1])
+        meas = ctx.measure(plan.variant, csr, x=x)
+        assert events == []
+        np.testing.assert_allclose(meas.y[: csr.shape[0]], csr.multiply(x))
+
+
 class TestDerivation:
     def test_with_nprocs_shares_the_measurement_cache(self, ctx, gs):
         meas = ctx.measure(SELL_AVX512, gs)

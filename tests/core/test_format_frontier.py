@@ -110,7 +110,7 @@ class TestBetaFormat:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_kernel_executes_no_padding(self, shape):
         csr = MATRICES["long-tail"]
-        ctx = ExecutionContext(use_traces=False)
+        ctx = ExecutionContext()
         meas = ctx.measure(BETA_AVX512, csr, block_shape=shape)
         assert meas.counters.padded_flops == 0
         assert meas.counters.flops == 2 * csr.nnz
@@ -184,6 +184,22 @@ class TestBestPlan:
 
     def test_default_block_shape_matches_the_converter_default(self):
         assert ExecutionContext().block_shape == DEFAULT_BLOCK_SHAPE
+
+    def test_verify_gate_checks_every_swept_knob(self):
+        """Under ``verify_variants`` each candidate is verified at its own
+        sigma and block shape, not at the context's defaults."""
+        csr = gray_scott_jacobian(8)
+        ctx = ExecutionContext(verify_variants=True)
+        sigmas, shapes = (1, 16), ((2, 4), (4, 4))
+        ctx.best_plan(
+            csr, candidates=(SELL_AVX512, BETA_AVX512),
+            sigmas=sigmas, block_shapes=shapes,
+        )
+        # verify_key: (variant, structure, slice_height, sigma, strict, shape)
+        verified = {(k[0], k[3], k[5]) for k in ctx.registry.keys("verify")}
+        assert verified == {
+            (SELL_AVX512.name, s, None) for s in sigmas
+        } | {(BETA_AVX512.name, s, b) for s in sigmas for b in shapes}
 
 
 class TestA64fxContext:

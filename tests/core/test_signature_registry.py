@@ -3,8 +3,8 @@
 The concurrency tests are the PR's acceptance stress: N threads hammer
 M signatures through one shared registry / one shared context, and the
 results must be bit-identical to sequential execution with exactly one
-factory run (one trace recording, one format conversion, one tune sweep)
-per distinct signature.
+factory run (one format conversion, one tune sweep) per distinct
+signature.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ def test_structure_key_ignores_values_content_key_does_not():
 
 def test_key_helpers_separate_their_dimensions():
     a, b, _ = _mats()
-    assert SignatureRegistry.trace_key("CSR", 8, 1, False, a) == (
-        SignatureRegistry.trace_key("CSR", 8, 1, False, b)
-    ), "traces are structural: same stencil must share a trace key"
     assert SignatureRegistry.measure_key("CSR", 8, 1, False, a) != (
         SignatureRegistry.measure_key("CSR", 8, 1, False, b)
     ), "measurements are value-dependent"
@@ -50,7 +47,7 @@ def test_key_helpers_separate_their_dimensions():
     ), "autotune winners are policy-scoped"
     assert SignatureRegistry.verify_key("CSR", a, 8, 1, False) == (
         SignatureRegistry.verify_key("CSR", b, 8, 1, False)
-    )
+    ), "verdicts are structural: same stencil must share a verify key"
     assert SignatureRegistry.default_x_key(5) == (5,)
 
 
@@ -78,13 +75,13 @@ def test_cached_none_is_a_hit_not_a_recompute():
 
 def test_lookup_put_invalidate_roundtrip():
     reg = SignatureRegistry()
-    assert reg.lookup("trace", ("k",)) is None
-    reg.put("trace", ("k",), "v")
-    assert reg.lookup("trace", ("k",)) == "v"
-    assert reg.size("trace") == 1
-    assert list(reg.keys("trace")) == [("k",)]
-    assert reg.invalidate("trace", ("k",)) is True
-    assert reg.invalidate("trace", ("k",)) is False
+    assert reg.lookup("prepare", ("k",)) is None
+    reg.put("prepare", ("k",), "v")
+    assert reg.lookup("prepare", ("k",)) == "v"
+    assert reg.size("prepare") == 1
+    assert list(reg.keys("prepare")) == [("k",)]
+    assert reg.invalidate("prepare", ("k",)) is True
+    assert reg.invalidate("prepare", ("k",)) is False
     assert reg.size() == 0
 
 
@@ -112,23 +109,13 @@ def test_failed_factory_caches_nothing():
     assert reg.stats()["misses"] == {"tune": 2}
 
 
-def test_replay_tallies():
-    reg = SignatureRegistry()
-    assert reg.bump_replay(("t",)) == 1
-    assert reg.bump_replay(("t",)) == 2
-    reg.clear_replay(("t",))
-    assert reg.bump_replay(("t",)) == 1
-
-
 def test_clear_resets_everything():
     reg = SignatureRegistry()
     reg.get_or_compute("measure", ("k",), lambda: 1)
-    reg.bump_replay(("t",))
     reg.clear()
     stats = reg.stats()
     assert stats["entries"] == 0
     assert stats["hits"] == {} and stats["misses"] == {}
-    assert reg.bump_replay(("t",)) == 1
 
 
 def test_constructor_validation():
@@ -136,7 +123,7 @@ def test_constructor_validation():
         SignatureRegistry(stripes=0)
     with pytest.raises(ValueError):
         SignatureRegistry(capacity=0)
-    assert set(NAMESPACES) >= {"measure", "prepare", "trace", "tune", "best"}
+    assert set(NAMESPACES) >= {"measure", "prepare", "tune", "best"}
 
 
 # -- concurrency ---------------------------------------------------------

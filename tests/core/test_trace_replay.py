@@ -91,26 +91,16 @@ def test_replay_rejects_structure_mismatch():
 
 class TestContextTracing:
     def test_traced_and_interpreted_context_measurements_agree(self):
+        """``measure()`` interprets; replaying its recorded trace agrees."""
         csr = gray_scott_jacobian(5)
-        traced = ExecutionContext(use_traces=True)
-        interp = ExecutionContext(use_traces=False)
-        for name in ("SELL using AVX512", "CSR using AVX512", "CSR baseline"):
-            m_t = traced.measure(name, csr)
-            m_i = interp.measure(name, csr)
-            assert np.array_equal(m_t.y, m_i.y), name
-            assert m_t.counters.as_dict() == m_i.counters.as_dict()
-
-    def test_trace_cache_survives_reassembly(self):
-        """New coefficients, same stencil: one recording, then replays."""
-        csr1 = gray_scott_jacobian(5)
-        csr2 = revalued(csr1, seed=31)
         ctx = ExecutionContext()
-        ctx.measure("SELL using AVX512", csr1)
-        assert ctx.registry.size("trace") == 1
-        meas = ctx.measure("SELL using AVX512", csr2)
-        assert ctx.registry.size("trace") == 1  # replayed, not re-recorded
-        x = ctx._default_x(csr2.shape[1])
-        assert np.allclose(meas.y, csr2.multiply(x), atol=1e-12)
+        for name in ("SELL using AVX512", "CSR using AVX512", "CSR baseline"):
+            m_i = ctx.measure(name, csr)
+            variant = get_variant(name)
+            trace, _, _ = variant.record(m_i.mat, ctx._default_x(csr.shape[1]))
+            y_t, c_t = variant.replay(trace, m_i.mat, ctx._default_x(csr.shape[1]))
+            assert np.array_equal(y_t, m_i.y), name
+            assert c_t.as_dict() == m_i.counters.as_dict()
 
     def test_prepare_and_default_x_are_cached(self):
         """measure() does no redundant conversion or rng work (bugfix)."""
@@ -135,14 +125,5 @@ class TestContextTracing:
             meas = ctx.measure("SELL using AVX512", csr)
         finally:
             traced_mod.TRACE_BUFFERS["SELL"] = saved
-        assert ctx.registry.size("trace") == 0
         x = ctx._default_x(csr.shape[1])
         assert np.allclose(meas.y, csr.multiply(x), atol=1e-12)
-
-    def test_derived_context_shares_trace_cache(self):
-        csr = gray_scott_jacobian(4)
-        ctx = ExecutionContext()
-        ctx.measure("SELL using AVX512", csr)
-        derived = ctx.with_nprocs(1)
-        assert derived.registry is ctx.registry
-        assert derived.registry.size("trace") == 1

@@ -1,11 +1,10 @@
 """Checkpoint store: round-trips, fallback, corruption, write-behind.
 
-Mirrors ``tests/core/test_plan_cache.py`` for the solver-checkpoint
-format: exact (bit-identical) round-trips of the recurrence state,
-newest-wins scans that fall back past anything invalid, corrupt or
-stale files rejected at load and never resurrected, the ``ckpt.write``
-fault site degrading to "fall back a cadence", and the write-behind
-store draining before every read.
+Covers the solver-checkpoint format: exact (bit-identical) round-trips
+of the recurrence state, newest-wins scans that fall back past anything
+invalid, corrupt or stale files rejected at load and never resurrected,
+the ``ckpt.write`` fault site degrading to "fall back a cadence", and the
+write-behind store draining before every read.
 """
 
 import numpy as np
@@ -213,7 +212,6 @@ class TestSolverResume:
         b = np.random.default_rng(3).standard_normal(csr.shape[0])
         solver = GMRES(
             restart=20, pc=JacobiPC(), rtol=1e-10, max_it=400,
-            use_superops=False,
         )
         ref = solver.solve(csr, b, checkpointer=Checkpointer(store, 10))
         snap = store.load(10)

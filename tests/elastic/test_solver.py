@@ -21,7 +21,7 @@ def _system(grid=8, seed=1):
 
 def _baseline(csr, b):
     return GMRES(
-        restart=20, pc=JacobiPC(), rtol=1e-10, max_it=400, use_superops=False
+        restart=20, pc=JacobiPC(), rtol=1e-10, max_it=400
     ).solve(csr, b)
 
 

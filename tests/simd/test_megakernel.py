@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import lint_megakernel
-from repro.core.context import ExecutionContext
 from repro.core.dispatch import ALL_VARIANTS, get_variant
 from repro.mat.aij import AijMat
 from repro.memory.spaces import aligned_alloc
@@ -166,47 +165,3 @@ def test_counters_are_the_recorded_ones():
     _, c2 = variant.replay(mega, mat, x)
     assert c1.as_dict() == counters_rec.as_dict() == c2.as_dict()
     assert c1 is not c2
-
-
-class TestContextTiering:
-    def test_megakernel_context_matches_plain_replay_context(self):
-        csr = gray_scott_jacobian(5)
-        fused = ExecutionContext(use_megakernels=True)
-        plain = ExecutionContext(use_megakernels=False)
-        for name in ("SELL using AVX512", "CSR using AVX512", "CSR baseline"):
-            # Second measure per context goes through the replay tier.
-            for ctx in (fused, plain):
-                ctx.measure(name, csr)
-            m_f = fused.measure(name, csr, x=np.full(csr.shape[1], 0.5))
-            m_p = plain.measure(name, csr, x=np.full(csr.shape[1], 0.5))
-            assert np.array_equal(m_f.y, m_p.y), name
-            assert m_f.counters.as_dict() == m_p.counters.as_dict()
-        assert fused.compiler_tier == "megakernel"
-        assert plain.compiler_tier == "replay"
-        assert ExecutionContext(use_traces=False).compiler_tier == "interpret"
-
-    def test_unfusable_verdict_is_memoized_not_fatal(self):
-        """A trace the compiler rejects measures fine and memoizes None."""
-        ctx = ExecutionContext(use_megakernels=True)
-        csr = gray_scott_jacobian(5)
-        variant = "SELL using AVX512"
-        ctx.measure(variant, csr)
-
-        from repro.core import context as context_mod
-
-        calls = []
-        original = context_mod.ExecutionContext._compile_megakernel
-
-        def counting(trace):
-            calls.append(1)
-            return original(trace)
-
-        ctx2 = ExecutionContext(use_megakernels=True)
-        ctx2._compile_megakernel = counting
-        ctx2.measure(variant, csr)
-        x = np.full(csr.shape[1], 0.25)
-        m1 = ctx2.measure(variant, csr, x=x)
-        m2 = ctx2.measure(variant, csr, x=x + 1.0)
-        assert len(calls) == 1  # the verdict (fusable or not) is memoized
-        assert np.allclose(m1.y, csr.multiply(x), atol=1e-12)
-        assert m2 is not m1

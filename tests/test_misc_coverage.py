@@ -8,7 +8,7 @@ class TestEventLogReentrancy:
     def test_same_event_nested_in_itself_counts_both_frames(self):
         """Recursive regions accumulate inclusive time per entry — the
         PETSc behaviour (PetscLogEventBegin nests by depth)."""
-        from repro.profiling import EventLog
+        from repro.obs import EventLog
 
         times = iter([0.0, 0.0, 1.0, 2.0, 5.0])
         log = EventLog(clock=lambda: next(times))
