@@ -2,9 +2,11 @@
 
 These are real timings on the host (unlike the modeled figure numbers):
 every format's forward product on the reference Gray-Scott operator, the
-transpose products, a SELL triangular solve, and the distributed SpMV over
-the simulated runtime.  They guard against performance regressions in the
-NumPy fast paths the solvers depend on.
+transpose products, a SELL triangular solve, the distributed SpMV over
+the simulated runtime, and the setup paths a Newton step pays for before
+any product: assembly, MatConvert, the SELL-to-CSR round trip and
+MatGetDiagonal.  They guard against performance regressions in the NumPy
+fast paths the solvers depend on.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from repro.core.sell import SellMat
 from repro.core.transpose import csr_multiply_transpose, sell_multiply_transpose
+from repro.mat.aij import AijMat
 from repro.mat.aij_perm import AijPermMat
 from repro.mat.baij import BaijMat
 from repro.mat.ellpack import EllpackMat
@@ -33,6 +36,33 @@ def test_forward_multiply(benchmark, reference_operator, reference_x, fmt):
     y = np.zeros(mat.shape[0])
     benchmark(mat.multiply, reference_x, y)
     assert np.allclose(y, reference_operator.multiply(reference_x))
+
+
+def test_sell_from_csr(benchmark, reference_operator):
+    sell = benchmark(SellMat.from_csr, reference_operator, 8)
+    assert sell.nnz == reference_operator.nnz
+
+
+def test_sell_to_csr(benchmark, reference_operator):
+    sell = SellMat.from_csr(reference_operator, 8)
+    back = benchmark(sell.to_csr)
+    assert np.array_equal(back.val, reference_operator.val)
+
+
+@pytest.mark.parametrize("fmt", ["CSR", "SELL"])
+def test_diagonal(benchmark, reference_operator, fmt):
+    mat = CONVERTERS[fmt](reference_operator)
+    diag = benchmark(mat.diagonal)
+    assert np.array_equal(diag, reference_operator.to_scipy().diagonal())
+
+
+def test_from_coo(benchmark, reference_operator):
+    a = reference_operator
+    rows = np.repeat(np.arange(a.shape[0]), a.row_lengths())
+    # Reversed triplets, so the assembly has real sorting to do.
+    rows, cols, vals = rows[::-1], a.colidx[::-1], a.val[::-1]
+    back = benchmark(AijMat.from_coo, a.shape, rows, cols, vals)
+    assert np.array_equal(back.colidx, a.colidx)
 
 
 def test_transpose_multiply_csr(benchmark, reference_operator, reference_x):

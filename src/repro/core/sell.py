@@ -20,6 +20,14 @@ Storage follows Section 5 and Figure 6 exactly:
 * the trailing partial slice, if any, is padded with empty rows to a full
   ``C`` so the kernel runs maskless except possibly at the final store.
 
+Conversion is whole-array NumPy, as in Kreutzer et al.'s SELL-C-sigma
+(arXiv 1307.6209, Section 3): the sigma permutation is one stable sort,
+slice widths are a reshape-and-max, and every CSR entry is scattered to its
+slot in one step.  :meth:`SellMat.to_csr` and :meth:`SellMat.diagonal`
+gather the real slots back in row order.  All three are bit-exact: a
+CSR -> SELL -> CSR round trip returns the input arrays unchanged (rows
+column-sorted), and ``diagonal()`` equals ``np.diag(to_dense())`` bitwise.
+
 Design decisions the paper argues for are parameters here so the ablation
 benchmarks can contradict them: ``slice_height`` sweeps C (C = 1
 degenerates to CSR), ``sigma`` enables SELL-C-sigma window sorting
@@ -113,81 +121,93 @@ class SellMat(Mat):
         if sigma > 1 and sigma % slice_height:
             raise ValueError("sigma must be a multiple of the slice height")
         m, n = csr.shape
+        c = slice_height
         lengths = csr.row_lengths().astype(np.int64)
 
         if sigma > 1:
-            perm = np.empty(m, dtype=np.int64)
-            for start in range(0, m, sigma):
-                stop = min(start + sigma, m)
-                window = np.arange(start, stop)
-                order = np.argsort(-lengths[start:stop], kind="stable")
-                perm[start:stop] = window[order]
+            # Stable sort by (window, descending length): rows of equal
+            # length keep their order inside each window of sigma rows.
+            window = np.arange(m, dtype=np.int64) // sigma
+            perm = np.lexsort((-lengths, window))
         else:
             perm = None
 
-        storage_rows = perm if perm is not None else np.arange(m, dtype=np.int64)
-        storage_lengths = lengths[storage_rows] if m else lengths
-
-        nslices = (m + slice_height - 1) // slice_height if m else 0
+        nslices = -(-m // c)
+        storage_lengths = np.zeros(nslices * c, dtype=np.int64)
+        storage_lengths[:m] = lengths[perm] if perm is not None else lengths
+        widths = storage_lengths.reshape(nslices, c).max(axis=1)
         sliceptr = np.zeros(nslices + 1, dtype=np.int64)
-        widths = np.zeros(nslices, dtype=np.int64)
-        for s in range(nslices):
-            chunk = storage_lengths[s * slice_height : (s + 1) * slice_height]
-            widths[s] = int(chunk.max()) if chunk.size else 0
-            sliceptr[s + 1] = sliceptr[s] + widths[s] * slice_height
+        np.cumsum(widths * c, out=sliceptr[1:])
 
+        # Construct first so the fill below writes straight into the
+        # aligned buffers and reuses the row map the constructor builds.
+        # The zero-stride placeholders cost no memory to copy from.
         total = int(sliceptr[-1])
-        val = np.zeros(total, dtype=np.float64)
-        colidx = np.zeros(total, dtype=np.int32)
-        for s in range(nslices):
-            base = sliceptr[s]
-            width = widths[s]
-            for i in range(slice_height):
-                k = s * slice_height + i
-                if k >= m:
-                    # Trailing padding rows: zero values, column 0 is a
-                    # safe local index.
-                    continue
-                row = int(storage_rows[k])
-                cols, vals = csr.get_row(row)
-                length = cols.shape[0]
-                # Element (i, j) of the slice lives at base + j*C + i.
-                slots = base + np.arange(length, dtype=np.int64) * slice_height + i
-                val[slots] = vals
-                colidx[slots] = cols
-                if length < width:
-                    pad = base + np.arange(length, width) * slice_height + i
-                    # Padding reuses a real (local) column of the same row.
-                    colidx[pad] = cols[-1] if length else 0
-        return cls(
+        sell = cls(
             (m, n),
-            slice_height,
+            c,
             sliceptr,
-            val,
-            colidx,
+            np.broadcast_to(np.float64(0.0), (total,)),
+            np.broadcast_to(np.int32(0), (total,)),
             lengths,
             perm=perm,
             sigma=sigma,
             alignment=alignment,
         )
+        # Padding reuses a real (local) column of the same row: its last
+        # one, or column 0 for an empty row.  Trailing rows past m get
+        # column 0, a safe local index.
+        last = np.zeros(m, dtype=np.int32)
+        nonempty = lengths > 0
+        last[nonempty] = csr.colidx[csr.rowptr[1:][nonempty] - 1]
+        # mode="clip" lets take() write straight into ``out`` (the default
+        # mode buffers a slot-sized copy); row-map entries are in range.
+        np.take(last, sell.row_map, out=sell.colidx, mode="clip")
+        real_lanes = m - (nslices - 1) * c
+        if nslices and real_lanes < c:
+            sell.colidx[sliceptr[-2] :].reshape(-1, c)[:, real_lanes:] = 0
+        slots = sell._entry_slots()
+        sell.val[slots] = csr.val
+        sell.colidx[slots] = csr.colidx
+        return sell
 
     def _build_row_map(self) -> np.ndarray:
         """Output row of every stored slot (padding maps to its slice row)."""
         m, _ = self.shape
         c = self.slice_height
-        row_map = np.empty(self.val.shape[0], dtype=np.int64)
-        for s in range(self.nslices):
-            base, width = self.sliceptr[s], self.slice_width(s)
-            lanes = np.arange(c)
-            storage_rows = s * c + lanes
-            storage_rows = np.minimum(storage_rows, max(m - 1, 0))
-            out_rows = (
-                self.perm[storage_rows] if self.perm is not None else storage_rows
-            )
-            # column-major within the slice: slot = base + j*C + i
-            block = np.tile(out_rows, width)
-            row_map[base : base + width * c] = block
-        return row_map
+        lanes = np.minimum(np.arange(self.nslices * c, dtype=np.int64), max(m - 1, 0))
+        out_rows = self.perm[lanes] if self.perm is not None else lanes
+        # Column-major within the slice (slot = base + j*C + i): slice s
+        # repeats its C lane rows once per column of its width.
+        widths = np.diff(self.sliceptr) // c
+        columns = np.repeat(np.arange(self.nslices), widths)
+        return out_rows.reshape(-1, c)[columns].reshape(-1)
+
+    def _entry_slots(self) -> np.ndarray:
+        """Slot of every real entry, rows in order and each row by ``j``.
+
+        Entry ``j`` of the row at storage position ``k`` sits at
+        ``sliceptr[k // C] + j*C + k % C``; the result lines up with the
+        entries of the CSR matrix this one was converted from.
+        """
+        m = self.shape[0]
+        c = self.slice_height
+        if self.perm is None:
+            pos = np.arange(m, dtype=np.int64)
+        else:
+            pos = np.empty(m, dtype=np.int64)
+            pos[self.perm] = np.arange(m, dtype=np.int64)
+        first = self.sliceptr[pos // c] + pos % c
+        # Consecutive entries of a row lie C slots apart, and each row's
+        # entry 0 jumps from the previous row's last slot: a running sum
+        # of those steps gives every slot in one nnz-sized array.
+        rows = np.flatnonzero(self.rlen)
+        starts = (np.cumsum(self.rlen) - self.rlen)[rows]
+        last = first[rows] + (self.rlen[rows] - 1) * c
+        slots = np.full(self.nnz, c, dtype=np.int64)
+        slots[starts] = first[rows] - np.concatenate(([0], last[:-1]))
+        np.cumsum(slots, out=slots)
+        return slots
 
     # ------------------------------------------------------------------
     # structure
@@ -253,35 +273,10 @@ class SellMat(Mat):
 
     def to_csr(self) -> AijMat:
         m, n = self.shape
-        c = self.slice_height
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        for s in range(self.nslices):
-            base = self.sliceptr[s]
-            for i in range(c):
-                k = s * c + i
-                if k >= m:
-                    continue
-                row = self.storage_row(k)
-                length = int(self.rlen[row])
-                slots = base + np.arange(length, dtype=np.int64) * c + i
-                rows.append(np.full(length, row, dtype=np.int64))
-                cols.append(self.colidx[slots].astype(np.int64))
-                vals.append(self.val[slots])
-        if rows:
-            return AijMat.from_coo(
-                (m, n),
-                np.concatenate(rows),
-                np.concatenate(cols),
-                np.concatenate(vals),
-                sum_duplicates=False,
-            )
+        slots = self._entry_slots()
+        rows = np.repeat(np.arange(m, dtype=np.int64), self.rlen)
         return AijMat.from_coo(
-            (m, n),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
+            (m, n), rows, self.colidx[slots], self.val[slots], sum_duplicates=False
         )
 
     def memory_bytes(self) -> int:
@@ -302,24 +297,19 @@ class SellMat(Mat):
         return w, wabs
 
     def diagonal(self) -> np.ndarray:
+        """Sum of the real entries at (i, i); padding never counts.
+
+        Bitwise equal to ``np.diag(self.to_dense())``.
+        """
         m, n = self.shape
-        diag = np.zeros(min(m, n), dtype=np.float64)
-        c = self.slice_height
-        for s in range(self.nslices):
-            base = self.sliceptr[s]
-            for i in range(c):
-                k = s * c + i
-                if k >= m:
-                    continue
-                row = self.storage_row(k)
-                if row >= n:
-                    continue
-                length = int(self.rlen[row])
-                slots = base + np.arange(length, dtype=np.int64) * c + i
-                hits = slots[self.colidx[slots] == row]
-                if hits.size:
-                    diag[row] = self.val[hits].sum()
-        return diag
+        slots = self._entry_slots()
+        rows = np.repeat(np.arange(m, dtype=np.int64), self.rlen)
+        hit = self.colidx[slots] == rows
+        diag = np.bincount(
+            rows[hit], weights=self.val[slots[hit]], minlength=min(m, n)
+        )
+        # bincount of an empty index array comes back int64.
+        return diag.astype(np.float64, copy=False)
 
 
 @register_format("SELL")

@@ -6,10 +6,19 @@ The baseline of every comparison in the paper.  Storage follows Figure 3:
 Values within a row are kept column-sorted, which PETSc guarantees after
 assembly and which the SELL conversion relies on.
 
-The production matvec is fully vectorized NumPy (products then a
-``reduceat`` segmented sum); the instruction-level kernels that reproduce
-Algorithm 1 live in :mod:`repro.core.kernels_csr` and are tested to agree
-with this path.
+Every operation is whole-array NumPy, with no Python loop over rows:
+
+* :meth:`AijMat.from_coo` (MatAssembly) is one stable sort of the int64
+  key ``row*n + col`` — the same permutation as a stable (row, col)
+  lexsort — after which columns and row pointers are read off the sorted
+  keys.  Indices are range-checked before they are keyed, so an
+  out-of-range triplet raises instead of aliasing onto another entry;
+* :meth:`AijMat.diagonal` (MatGetDiagonal) masks ``colidx == row`` and
+  ``bincount``-sums the hits, so duplicate and unsorted entries count
+  exactly as in :meth:`multiply` and ``to_dense``;
+* the production matvec is products then a ``reduceat`` segmented sum;
+  the instruction-level kernels that reproduce Algorithm 1 live in
+  :mod:`repro.core.kernels_csr` and are tested to agree with this path.
 """
 
 from __future__ import annotations
@@ -68,24 +77,31 @@ class AijMat(Mat):
         vals: np.ndarray,
         sum_duplicates: bool = True,
     ) -> "AijMat":
-        """Build CSR from triplets; duplicates accumulate (ADD_VALUES)."""
+        """Build CSR from triplets; duplicates accumulate (ADD_VALUES).
+
+        Entries are ordered by (row, column); duplicates keep their input
+        order, so ``sum_duplicates=False`` stores them in that order and
+        summing adds them in it.
+        """
         m, n = shape
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and rows.size:
-            keep = np.ones(rows.size, dtype=bool)
-            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(keep) - 1
-            summed = np.bincount(group, weights=vals)
-            rows, cols, vals = rows[keep], cols[keep], summed
-        rowptr = np.zeros(m + 1, dtype=np.int64)
-        if rows.size:
-            np.add.at(rowptr, rows + 1, 1)
-        np.cumsum(rowptr, out=rowptr)
-        return cls(shape, rowptr, cols, vals)
+        if rows.size and (rows.min() < 0 or rows.max() >= m):
+            raise IndexError("row index out of range")
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise IndexError("column index out of range")
+        key = rows * n + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        if sum_duplicates and key.size:
+            keep = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            vals = np.bincount(np.cumsum(keep) - 1, weights=vals)
+            key = key[keep]
+        # Keys are sorted, so row i starts at the first key >= i*n.
+        rowptr = np.searchsorted(key, np.arange(m + 1, dtype=np.int64) * n)
+        return cls(shape, rowptr, key % n, vals)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, drop_tol: float = 0.0) -> "AijMat":
@@ -153,14 +169,18 @@ class AijMat(Mat):
         return self.colidx[lo:hi], self.val[lo:hi]
 
     def diagonal(self) -> np.ndarray:
+        """Sum of the stored entries at (i, i), in storage order.
+
+        Bitwise equal to ``np.diag(self.to_dense())``: duplicates add up
+        and unsorted rows are read whole, exactly as :meth:`multiply`
+        sees them.
+        """
         m, n = self.shape
-        diag = np.zeros(min(m, n), dtype=np.float64)
-        for i in range(min(m, n)):
-            cols, vals = self.get_row(i)
-            hit = np.searchsorted(cols, i)
-            if hit < cols.shape[0] and cols[hit] == i:
-                diag[i] = vals[hit]
-        return diag
+        rows = np.repeat(np.arange(m, dtype=np.int64), self.row_lengths())
+        hit = self.colidx == rows
+        diag = np.bincount(rows[hit], weights=self.val[hit], minlength=min(m, n))
+        # bincount of an empty index array comes back int64.
+        return diag.astype(np.float64, copy=False)
 
     def transpose(self) -> "AijMat":
         """A^T in CSR (used by tests and the symmetric-problem gallery)."""
@@ -175,19 +195,22 @@ class AijMat(Mat):
         """The matrix with row ``i`` taken from old row ``perm[i]``."""
         perm = np.asarray(perm, dtype=np.int64)
         m, n = self.shape
-        if sorted(perm.tolist()) != list(range(m)):
+        if (
+            perm.shape != (m,)
+            or (m and (perm.min() < 0 or perm.max() >= m))
+            or np.any(np.bincount(perm, minlength=m) != 1)
+        ):
             raise ValueError("perm must be a permutation of the row indices")
         lengths = self.row_lengths()[perm]
         rowptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(lengths, out=rowptr[1:])
-        colidx = np.empty(self.nnz, dtype=np.int32)
-        val = np.empty(self.nnz, dtype=np.float64)
-        for new_i, old_i in enumerate(perm):
-            lo, hi = self.rowptr[old_i], self.rowptr[old_i + 1]
-            dst = slice(rowptr[new_i], rowptr[new_i + 1])
-            colidx[dst] = self.colidx[lo:hi]
-            val[dst] = self.val[lo:hi]
-        return AijMat((m, n), rowptr, colidx, val, check=False)
+        # Entry e of new row i comes from old offset rowptr_old[perm[i]] +
+        # (e - rowptr[i]).
+        src = np.arange(self.nnz, dtype=np.int64)
+        src += np.repeat(self.rowptr[perm] - rowptr[:-1], lengths)
+        return AijMat(
+            (m, n), rowptr, self.colidx[src], self.val[src], check=False
+        )
 
     def equal(self, other: Mat, tol: float = 0.0) -> bool:
         """Entrywise equality against any other format (via CSR)."""

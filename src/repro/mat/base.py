@@ -234,11 +234,10 @@ class Mat(abc.ABC):
         csr = self.to_csr()
         m, n = csr.shape
         dense = np.zeros((m, n), dtype=np.float64)
-        for i in range(m):
-            lo, hi = csr.rowptr[i], csr.rowptr[i + 1]
-            # np.add.at accumulates duplicate column entries; fancy-index
-            # += would silently keep only the last one.
-            np.add.at(dense[i], csr.colidx[lo:hi], csr.val[lo:hi])
+        rows = np.repeat(np.arange(m, dtype=np.int64), csr.row_lengths())
+        # np.add.at accumulates duplicate entries in storage order; fancy-
+        # index += would silently keep only the last one.
+        np.add.at(dense, (rows, csr.colidx), csr.val)
         return dense
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -123,3 +123,36 @@ class TestSolverBehaviour:
         _, reference = reference_run
         for s in reference.stats:
             assert s.jacobian_builds == s.newton_iterations
+
+
+class TestTrajectoryPin:
+    #: SHA-256 of the final-state bytes below, recorded before the setup
+    #: paths (assembly, MatConvert, MatGetDiagonal) were vectorized.  Any
+    #: change to their arithmetic or ordering shows up here as a new digest.
+    FINAL_STATE_SHA256 = (
+        "3f3140f5e1ae7e6a61043eb69bda0adcc55884ca3bb836c6ad61839fb0d1f59d"
+    )
+
+    def test_sell_mg_run_is_bit_identical(self):
+        """16^2, 2 Crank-Nicolson steps, Newton + GMRES(30) + 3-level MG,
+        SELL rebuilt at every Newton iteration (the benchmark's stepper)."""
+        import hashlib
+
+        grid = Grid2D(16, 16, dof=2)
+        problem = GrayScottProblem(grid)
+        ts = ThetaMethod(
+            rhs=problem.rhs,
+            jacobian=problem.jacobian,
+            ksp_factory=lambda: GMRES(
+                pc=MGPC(grids=grid.hierarchy(3)), rtol=1e-8, restart=30
+            ),
+            operator_wrapper=lambda m: SellMat.from_csr(m.to_csr(), 8),
+            theta=0.5,
+            dt=1.0,
+            snes_rtol=1e-8,
+        )
+        w = problem.initial_state(seed=1)
+        for _ in range(2):
+            w, _ = ts.step(w)
+        digest = hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()
+        assert digest == self.FINAL_STATE_SHA256

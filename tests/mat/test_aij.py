@@ -119,6 +119,24 @@ class TestHelpers:
         a = AijMat.from_coo((3, 3), np.array([0]), np.array([1]), np.array([5.0]))
         assert np.array_equal(a.diagonal(), np.zeros(3))
 
+    def test_diagonal_sums_kept_duplicates(self):
+        a = AijMat.from_coo(
+            (3, 3),
+            np.array([0, 0, 1, 2, 2]),
+            np.array([0, 0, 1, 2, 0]),
+            np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+            sum_duplicates=False,
+        )
+        assert np.array_equal(a.diagonal(), [3.0, 3.0, 4.0])
+        assert np.array_equal(a.diagonal(), np.diag(a.to_dense()))
+        assert np.array_equal(a.multiply(np.eye(3)[0]), a.to_dense()[:, 0])
+
+    def test_diagonal_of_an_unsorted_row(self):
+        a = AijMat((2, 2), np.array([0, 2, 3]), np.array([1, 0, 1]),
+                   np.array([7.0, 9.0, 4.0]))
+        assert np.array_equal(a.diagonal(), [9.0, 4.0])
+        assert np.array_equal(a.diagonal(), np.diag(a.to_dense()))
+
     def test_transpose(self, small_csr, rng):
         x = rng.standard_normal(small_csr.shape[0])
         t = small_csr.transpose()
