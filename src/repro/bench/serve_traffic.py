@@ -30,7 +30,8 @@ statistics for both, and the job **fails** unless:
   a batching-induced latency collapse cannot hide behind the ratio).
 
 Every client verifies a sample of its answers against the reference
-CSR matvec, so the gate also re-checks end-to-end serving correctness.
+CSR matvec, bit for bit, so the gate also re-checks end-to-end serving
+correctness.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ async def _tenant(
             failures.append(f"{response.status.value}: {response.detail}")
             continue
         if i % cfg.verify_every == 0:
-            if not np.allclose(response.result, reference, atol=1e-10):
+            if not np.array_equal(response.result, reference):
                 failures.append(f"wrong answer for pool entry {idx}")
         # Sub-half-millisecond thinks are below the event loop's timer
         # granularity (~1ms here); sleep(0) yields without a timer, so

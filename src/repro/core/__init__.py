@@ -53,12 +53,7 @@ from .kernels_sell import spmv_sell, spmv_sell_esb
 from .registry import SignatureRegistry
 from .sell import SellMat
 from .spmv import SpmvMeasurement, measure, predict, spmv
-from .transpose import (
-    csr_multiply_transpose,
-    sell_multiply_transpose,
-    spmv_csr_transpose,
-    spmv_sell_transpose,
-)
+from .transpose import spmv_csr_transpose, spmv_sell_transpose
 from .triangular import (
     SellILU0PC,
     SellTriangular,
@@ -108,7 +103,6 @@ __all__ = [
     "TuneResult",
     "TrafficEstimate",
     "counters_match",
-    "csr_multiply_transpose",
     "csr_traffic",
     "get_variant",
     "gray_scott_intensity",
@@ -121,7 +115,6 @@ __all__ = [
     "predict",
     "register_variant",
     "registered_variants",
-    "sell_multiply_transpose",
     "sell_traffic",
     "solve_sell_triangular",
     "simd_efficiency",

@@ -59,18 +59,8 @@ class EsbMat(SellMat):
         A slot (lane ``i``, column ``j``) of slice ``s`` is real when
         ``j < rlen`` of the row in that lane.
         """
-        m, _ = self.shape
-        c = self.slice_height
         bits = np.zeros(self.val.shape[0], dtype=bool)
-        for s in range(self.nslices):
-            base, width = self.sliceptr[s], self.slice_width(s)
-            for i in range(c):
-                k = s * c + i
-                if k >= m:
-                    continue
-                length = int(self.rlen[self.storage_row(k)])
-                slots = base + np.arange(min(length, width), dtype=np.int64) * c + i
-                bits[slots] = True
+        bits[self._entry_slots()] = True
         return bits
 
     @property
@@ -84,25 +74,6 @@ class EsbMat(SellMat):
 
     def memory_bytes(self) -> int:
         return super().memory_bytes() + self.bit_array_bytes
-
-    def multiply_masked(
-        self, x: np.ndarray, y: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Matvec through the mask, skipping padded slots.
-
-        Numerically identical to the maskless product (padding values are
-        zero); the instruction-level difference is what the ablation
-        kernel in :mod:`repro.core.kernels_sell` measures.
-        """
-        x, y = self._check_multiply_args(x, y)
-        if self.val.shape[0] == 0:
-            y[:] = 0.0
-            return y
-        products = np.where(self.bits, self.val * x[self.colidx], 0.0)
-        y[:] = np.bincount(
-            self._row_of_element, weights=products, minlength=self.shape[0]
-        )[: self.shape[0]]
-        return y
 
 
 @register_format("ESB")

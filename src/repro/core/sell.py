@@ -92,8 +92,8 @@ class SellMat(Mat):
                 raise ValueError("perm must have one entry per row")
         self.perm = perm
 
-        # Precomputed element -> output-row map for the fast NumPy matvec
-        # (exposed as :attr:`row_map` for the transpose kernels).
+        # Precomputed slot -> output-row map (:attr:`row_map`), read by the
+        # conversion's padding fill and the transpose kernels.
         self._row_of_element = self._build_row_map()
 
     # ------------------------------------------------------------------
@@ -260,17 +260,6 @@ class SellMat(Mat):
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        x, y = self._check_multiply_args(x, y)
-        if self.val.shape[0] == 0:
-            y[:] = 0.0
-            return y
-        products = self.val * x[self.colidx]
-        y[:] = np.bincount(
-            self._row_of_element, weights=products, minlength=self.shape[0]
-        )[: self.shape[0]]
-        return y
-
     def to_csr(self) -> AijMat:
         m, n = self.shape
         slots = self._entry_slots()

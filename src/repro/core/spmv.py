@@ -2,7 +2,8 @@
 
 Ties the layers together for users and for the figure harnesses:
 
-* :func:`spmv` — the production matvec for any format (fast NumPy path);
+* :func:`spmv` — the production matvec for any format (``Mat.multiply``,
+  SciPy's CSR product on the matrix's cached handle);
 * :func:`measure` — run one named variant's instruction-level kernel on a
   concrete matrix, returning the result vector, the instruction counters,
   and the Section 6 traffic estimate;

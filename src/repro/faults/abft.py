@@ -66,16 +66,20 @@ class AbftChecker:
         and the check abstains — a poisoned x is the solver health
         monitor's domain, not a kernel fault.
         """
+        # A corrupted y can hold NaN/±inf; the reductions then produce
+        # non-finite intermediates by design (they fail the checks below).
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = float(self.w @ x)
+            rhs = float(y.sum())
+            err = abs(lhs - rhs)
+        # The tolerance is never below rtol, so a smaller (finite) error
+        # passes without the O(n) norm of x.
+        if err <= self.rtol:
+            return
         xnorm = float(np.linalg.norm(x))
         scale = self._wabs_norm * xnorm
         if not np.isfinite(scale):
             return
-        # A corrupted y can hold NaN/±inf; the reductions then produce
-        # non-finite intermediates by design (they fail the check below).
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = float(self.w @ x)
-            rhs = float(np.sum(y))
-            err = abs(lhs - rhs)
         tol = self.rtol * max(scale, 1.0)
         if np.isfinite(rhs) and err <= tol:
             return

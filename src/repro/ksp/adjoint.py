@@ -26,8 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.sell import SellMat
-from ..core.transpose import csr_multiply_transpose, sell_multiply_transpose
 from ..mat.base import Mat
 from .base import KSP
 from .ts import TSResult
@@ -36,8 +34,8 @@ from .ts import TSResult
 class TransposeOperator:
     """Present ``A^T`` as an operator without materializing the transpose.
 
-    Applies the in-layout transpose product of whichever format ``A`` is
-    stored in — the MatMultTranspose path a transposed Krylov solve uses.
+    Applies ``A``'s :meth:`~repro.mat.base.Mat.multiply_transpose` — the
+    MatMultTranspose path a transposed Krylov solve uses.
     """
 
     def __init__(self, inner: Mat):
@@ -49,10 +47,7 @@ class TransposeOperator:
         return (n, m)
 
     def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        if isinstance(self.inner, SellMat):
-            out = sell_multiply_transpose(self.inner, x)
-        else:
-            out = csr_multiply_transpose(self.inner.to_csr(), x)
+        out = self.inner.multiply_transpose(x)
         if y is not None:
             y[:] = out
             return y

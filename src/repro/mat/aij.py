@@ -16,8 +16,10 @@ Every operation is whole-array NumPy, with no Python loop over rows:
 * :meth:`AijMat.diagonal` (MatGetDiagonal) masks ``colidx == row`` and
   ``bincount``-sums the hits, so duplicate and unsorted entries count
   exactly as in :meth:`multiply` and ``to_dense``;
-* the production matvec is products then a ``reduceat`` segmented sum;
-  the instruction-level kernels that reproduce Algorithm 1 live in
+* the production matvec is the base class's SciPy CSR handle, which
+  sums each row sequentially in storage order — the one order every
+  format's :meth:`~repro.mat.base.Mat.multiply` shares; the
+  instruction-level kernels that reproduce Algorithm 1 live in
   :mod:`repro.core.kernels_csr` and are tested to agree with this path.
 """
 
@@ -137,19 +139,6 @@ class AijMat(Mat):
     @property
     def nnz(self) -> int:
         return int(self.rowptr[-1])
-
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        x, y = self._check_multiply_args(x, y)
-        if self.nnz == 0:
-            y[:] = 0.0
-            return y
-        products = self.val * x[self.colidx]
-        starts = self.rowptr[:-1]
-        nonempty = starts < self.rowptr[1:]
-        y[:] = 0.0
-        if np.any(nonempty):
-            y[nonempty] = np.add.reduceat(products, starts[nonempty])
-        return y
 
     def to_csr(self) -> "AijMat":
         return self

@@ -76,23 +76,6 @@ class AijPermMat(Mat):
             self._colidx_f64 = cached
         return cached
 
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        """Grouped matvec: vectorized across rows within each group."""
-        x, y = self._check_multiply_args(x, y)
-        y[:] = 0.0
-        rowptr, colidx, val = self.csr.rowptr, self.csr.colidx, self.csr.val
-        for g in range(self.ngroups):
-            lo, hi = self.group_starts[g], self.group_starts[g + 1]
-            length = int(self.group_lengths[g])
-            rows = self.perm[lo:hi]
-            if length == 0:
-                continue
-            # (rows_in_group, length) index matrix into the CSR arrays —
-            # the strided access pattern of the permuted kernel.
-            offsets = rowptr[rows][:, None] + np.arange(length)[None, :]
-            y[rows] = np.sum(val[offsets] * x[colidx[offsets]], axis=1)
-        return y
-
     def to_csr(self) -> AijMat:
         return self.csr
 

@@ -95,50 +95,22 @@ class BaijMat(Mat):
         """Number of stored blocks."""
         return int(self.bcolidx.shape[0])
 
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        x, y = self._check_multiply_args(x, y)
-        y[:] = 0.0
-        if self.nblocks == 0:
-            return y
-        bs = self.bs
-        # Gather the x segment per block, batch all block products, then
-        # segment-sum per block row.
-        x_blocks = x.reshape(-1, bs)[self.bcolidx]          # (nblocks, bs)
-        products = np.einsum("kij,kj->ki", self.val, x_blocks)
-        starts = self.browptr[:-1]
-        nonempty = starts < self.browptr[1:]
-        y2 = y.reshape(-1, bs)
-        if np.any(nonempty):
-            y2[nonempty] = np.add.reduceat(products, starts[nonempty], axis=0)[
-                : int(nonempty.sum())
-            ]
-        return y
-
     def to_csr(self) -> AijMat:
         m, n = self.shape
         bs = self.bs
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        mb = m // bs
-        for bi in range(mb):
-            for k in range(self.browptr[bi], self.browptr[bi + 1]):
-                bj = int(self.bcolidx[k])
-                block = self.val[k]
-                for oi in range(bs):
-                    for oj in range(bs):
-                        # Keep explicit zeros out of the CSR version so the
-                        # round-trip matches the original sparsity.
-                        if block[oi, oj] != 0.0:
-                            rows.append(bi * bs + oi)
-                            cols.append(bj * bs + oj)
-                            vals.append(float(block[oi, oj]))
+        # Block k's entry (oi, oj) sits at (brow[k]*bs + oi, bcol[k]*bs + oj);
+        # boolean indexing walks the (nblocks, bs, bs) values block by
+        # block, then row by row.
+        brow = np.repeat(np.arange(m // bs, dtype=np.int64), np.diff(self.browptr))
+        offsets = np.arange(bs, dtype=np.int64)
+        bcol = self.bcolidx.astype(np.int64)
+        rows = np.broadcast_to((brow * bs)[:, None, None] + offsets[:, None], self.val.shape)
+        cols = np.broadcast_to((bcol * bs)[:, None, None] + offsets, self.val.shape)
+        # Keep explicit zeros out of the CSR version so the round-trip
+        # matches the original sparsity.
+        keep = self.val != 0.0
         return AijMat.from_coo(
-            (m, n),
-            np.array(rows, dtype=np.int64),
-            np.array(cols, dtype=np.int64),
-            np.array(vals, dtype=np.float64),
-            sum_duplicates=False,
+            (m, n), rows[keep], cols[keep], self.val[keep], sum_duplicates=False
         )
 
     def memory_bytes(self) -> int:

@@ -5,9 +5,14 @@ PETSc's Mat object is format-polymorphic — the solver stack calls
 SELL (that polymorphism is what lets the paper swap ``-dm_mat_type sell``
 into an unchanged application).  This base class is that contract:
 
-* :meth:`multiply` — the production matvec (vectorized NumPy, used by the
-  solvers, exact same arithmetic as the engine kernels up to summation
-  order);
+* :meth:`multiply` / :meth:`multiply_transpose` — the production products
+  (MatMult, MatMultTranspose).  Every format runs them on one cached SciPy
+  CSR handle built from :meth:`to_csr`, so they have one documented
+  summation order whatever the format: SciPy's sequential row sum in CSR
+  storage order (the transpose adds each stored entry into its column in
+  the same order).  A solve therefore produces the same bits whichever
+  format the tuner picks.  The format-specific arithmetic of the paper's
+  kernels lives in the instruction-level engine kernels, not here;
 * :meth:`to_csr` / conversion hooks — every format round-trips through CSR,
   which is both how PETSc converts and how the tests establish equivalence;
 * :meth:`memory_bytes` — the storage footprint, feeding the Section 6
@@ -115,9 +120,27 @@ class Mat(abc.ABC):
         """Stored nonzeros, excluding any format padding."""
 
     # -- operations --------------------------------------------------------
-    @abc.abstractmethod
     def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        """y = A @ x (allocating y when not supplied)."""
+        """y = A @ x (allocating y when not supplied), on the CSR handle."""
+        x, y = self._check_multiply_args(x, y)
+        y[:] = self._spmm_handle() @ x
+        return y
+
+    def multiply_transpose(self, x: np.ndarray) -> np.ndarray:
+        """A^T @ x (MatMultTranspose), on the same CSR handle.
+
+        No transposed copy is stored: SciPy's transpose of the handle is a
+        CSC view of the same arrays, whose product adds ``val * x[row]``
+        into ``y[col]`` entry by entry in CSR storage order.
+        """
+        m, n = self.shape
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (m,):
+            raise MatrixShapeError(
+                f"input vector of shape {x.shape} does not conform to the "
+                f"transpose of matrix {m}x{n}"
+            )
+        return self._spmm_handle().T @ x
 
     def multiply_multi(
         self, xs: np.ndarray, ys: np.ndarray | None = None
@@ -132,9 +155,9 @@ class Mat(abc.ABC):
 
         Column ``j`` of the result is *batch-size invariant* — identical
         bits whether ``x_j`` was multiplied alone or alongside any other
-        columns — which is what lets a server batch requests without
-        changing any tenant's answer.  (Within one execution path the
-        columns agree with :meth:`multiply` to summation-order rounding.)
+        columns — and bitwise equal to ``multiply(x_j)``, which runs on the
+        same handle in the same summation order.  That is what lets a
+        server batch requests without changing any tenant's answer.
         Matrices are treated as immutable once multiplied: reassembling
         values must build a new matrix, not mutate this one's buffers.
         """
@@ -158,10 +181,11 @@ class Mat(abc.ABC):
         return ys
 
     def _spmm_handle(self):
-        """The cached compiled-CSR handle ``multiply_multi`` runs on.
+        """The cached compiled-CSR handle every product runs on.
 
         Built once per matrix (through :meth:`to_csr`, an identity for
-        CSR itself) and reused for every batch.
+        CSR itself) and reused by :meth:`multiply`,
+        :meth:`multiply_transpose` and :meth:`multiply_multi`.
         """
         handle = getattr(self, "_spmm_handle_cache", None)
         if handle is None:
@@ -209,7 +233,7 @@ class Mat(abc.ABC):
         wabs = np.bincount(csr.colidx, weights=np.abs(csr.val), minlength=n)[:n]
         return w, wabs
 
-    # -- helpers for subclasses ---------------------------------------------
+    # -- helpers ---------------------------------------------------------------
     def _check_multiply_args(
         self, x: np.ndarray, y: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -82,12 +82,6 @@ class HybridMat(Mat):
         """Fraction of nonzeros that fell into the COO part."""
         return self.coo.nnz / self.nnz if self.nnz else 0.0
 
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        x, y = self._check_multiply_args(x, y)
-        self.ell.multiply(x, y)
-        self.coo.multiply(x, y)  # accumulates into y
-        return y
-
     def to_csr(self) -> AijMat:
         a = self.ell.to_csr()
         b = self.coo.to_csr()

@@ -15,8 +15,9 @@ things:
    later prices into cycles and seconds.
 
 The engine is deliberately *not* fast — it exists to make the instruction
-stream of Algorithms 1 and 2 observable.  Solvers use the ``multiply_fast``
-NumPy path of each matrix format; tests assert the two paths agree.
+stream of Algorithms 1 and 2 observable.  Solvers use ``Mat.multiply``,
+which every format runs on one SciPy CSR handle; tests assert the two
+paths agree.
 """
 
 from __future__ import annotations

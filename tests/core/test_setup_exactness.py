@@ -1,8 +1,9 @@
 """Exactness of the whole-array setup paths against their loop originals.
 
 Assembly (``AijMat.from_coo``), MatConvert (``SellMat.from_csr``), the SELL
-row map, ``SellMat.to_csr``, MatGetDiagonal, ``permute_rows`` and
-``to_dense`` used to be Python loops over rows or slices.  The loops are
+row map, the ESB bit array, ``SellMat.to_csr``, ``EllpackMat.to_csr``,
+``BaijMat.to_csr``, MatGetDiagonal, ``permute_rows`` and ``to_dense`` used
+to be Python loops over rows, slices or blocks.  The loops are
 kept below as reference oracles, and every vectorized path must reproduce
 their arrays exactly — ``array_equal``, never a tolerance — over a
 hypothesis panel and a list of degenerate structures.
@@ -16,8 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.esb import EsbMat
 from repro.core.sell import SellMat
 from repro.mat.aij import AijMat
+from repro.mat.baij import BaijMat
+from repro.mat.ellpack import EllpackMat
 
 # ----------------------------------------------------------------------
 # Reference oracles: the loop implementations the fast paths replaced.
@@ -150,6 +154,72 @@ def ref_sell_diagonal(sell):
                 # to_dense(); the oracle adds in storage order like they do.
                 diag[row] = sum(sell.val[hits].tolist(), 0.0)
     return diag
+
+
+def ref_esb_bits(esb):
+    """One boolean per stored slot, set lane by lane up to the row length."""
+    m, _ = esb.shape
+    c = esb.slice_height
+    bits = np.zeros(esb.val.shape[0], dtype=bool)
+    for s in range(esb.nslices):
+        base, width = esb.sliceptr[s], esb.slice_width(s)
+        for i in range(c):
+            k = s * c + i
+            if k >= m:
+                continue
+            length = int(esb.rlen[esb.storage_row(k)])
+            slots = base + np.arange(min(length, width), dtype=np.int64) * c + i
+            bits[slots] = True
+    return bits
+
+
+def ref_ellpack_to_csr(ell):
+    """The per-row list-building conversion back to CSR."""
+    m, n = ell.shape
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for i in range(m):
+        k = int(ell.rlen[i])
+        rows.extend([i] * k)
+        cols.extend(ell.colidx[i, :k].tolist())
+        vals.extend(ell.val[i, :k].tolist())
+    return AijMat.from_coo(
+        (m, n),
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(vals, dtype=np.float64),
+        sum_duplicates=False,
+    )
+
+
+def ref_baij_to_csr(baij):
+    """The per-block, per-entry conversion back to CSR."""
+    m, n = baij.shape
+    bs = baij.bs
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    mb = m // bs
+    for bi in range(mb):
+        for k in range(baij.browptr[bi], baij.browptr[bi + 1]):
+            bj = int(baij.bcolidx[k])
+            block = baij.val[k]
+            for oi in range(bs):
+                for oj in range(bs):
+                    # Keep explicit zeros out of the CSR version so the
+                    # round-trip matches the original sparsity.
+                    if block[oi, oj] != 0.0:
+                        rows.append(bi * bs + oi)
+                        cols.append(bj * bs + oj)
+                        vals.append(float(block[oi, oj]))
+    return AijMat.from_coo(
+        (m, n),
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(vals, dtype=np.float64),
+        sum_duplicates=False,
+    )
 
 
 def ref_permute_rows(csr, perm):
@@ -290,6 +360,26 @@ def check_sell_paths(csr):
         ), label
 
 
+def check_esb_bits(csr):
+    for c, sigma in sell_params(csr.shape[0]):
+        esb = EsbMat.from_csr(csr, slice_height=c, sigma=sigma)
+        assert np.array_equal(esb.bits, ref_esb_bits(esb)), f"C={c} sigma={sigma}"
+
+
+def check_other_format_paths(csr):
+    ell = EllpackMat.from_csr(csr)
+    back = ref_ellpack_to_csr(ell)
+    assert_csr_arrays(ell.to_csr(), back.rowptr, back.colidx, back.val)
+    m, n = csr.shape
+    for bs in (1, 2, 3):
+        if m % bs or n % bs:
+            continue
+        baij = BaijMat.from_csr(csr, bs)
+        back = ref_baij_to_csr(baij)
+        assert_csr_arrays(baij.to_csr(), back.rowptr, back.colidx, back.val)
+    check_esb_bits(csr)
+
+
 def check_aij_paths(csr):
     m, _ = csr.shape
     assert np.array_equal(bits(csr.to_dense()), bits(ref_to_dense(csr)))
@@ -310,16 +400,24 @@ def test_aij_setup_paths_match_the_loop_oracles(csr):
     check_aij_paths(csr)
 
 
+@settings(max_examples=60, deadline=None)
+@given(csr=csr_panel())
+def test_other_format_setup_paths_match_the_loop_oracles(csr):
+    check_other_format_paths(csr)
+
+
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_degenerate_structures(name):
     csr = DEGENERATE[name]
     check_sell_paths(csr)
     check_aij_paths(csr)
+    check_other_format_paths(csr)
 
 
 def test_gray_scott_operator_converts_exactly(gray_scott_small):
     check_sell_paths(gray_scott_small)
     check_aij_paths(gray_scott_small)
+    check_other_format_paths(gray_scott_small)
 
 
 # ----------------------------------------------------------------------

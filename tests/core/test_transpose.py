@@ -5,12 +5,7 @@ import pytest
 
 from repro.comm.spmd import run_spmd
 from repro.core.sell import SellMat
-from repro.core.transpose import (
-    csr_multiply_transpose,
-    sell_multiply_transpose,
-    spmv_csr_transpose,
-    spmv_sell_transpose,
-)
+from repro.core.transpose import spmv_csr_transpose, spmv_sell_transpose
 from repro.mat.mpi_aij import MPIAij
 from repro.mat.mpi_sell import MPISell
 from repro.pde.problems import gray_scott_jacobian, irregular_rows
@@ -28,26 +23,28 @@ def rect(request):
 
 
 class TestFastPaths:
+    """``Mat.multiply_transpose`` is SciPy's transpose product, bit for bit."""
+
     def test_csr_matches_explicit_transpose(self, rect, rng):
         x = rng.standard_normal(rect.shape[0])
-        assert np.allclose(
-            csr_multiply_transpose(rect, x), rect.to_dense().T @ x
-        )
+        y = rect.multiply_transpose(x)
+        assert y.shape == (rect.shape[1],)
+        assert np.array_equal(y, rect.to_scipy().T @ x)
 
     def test_sell_matches_explicit_transpose(self, rng):
         csr = make_random_csr(17, 17, density=0.25, seed=2)
         sell = SellMat.from_csr(csr)
         x = rng.standard_normal(17)
-        assert np.allclose(
-            sell_multiply_transpose(sell, x), csr.to_dense().T @ x
+        assert np.array_equal(
+            sell.multiply_transpose(x), csr.to_scipy().T @ x
         )
 
     def test_sorted_sell_transpose(self, rng):
         csr = irregular_rows(32, max_len=10, seed=3)
         sell = SellMat.from_csr(csr, sigma=16)
         x = rng.standard_normal(32)
-        assert np.allclose(
-            sell_multiply_transpose(sell, x), csr.to_dense().T @ x
+        assert np.array_equal(
+            sell.multiply_transpose(x), csr.to_scipy().T @ x
         )
 
     def test_duplicate_columns_accumulate(self):
@@ -56,16 +53,14 @@ class TestFastPaths:
         a = AijMat.from_coo(
             (2, 3), np.array([0, 1]), np.array([1, 1]), np.array([2.0, 3.0])
         )
-        y = csr_multiply_transpose(a, np.array([1.0, 1.0]))
+        y = a.multiply_transpose(np.array([1.0, 1.0]))
         assert np.array_equal(y, [0.0, 5.0, 0.0])
 
     def test_conformance_validation(self, rect):
         with pytest.raises(ValueError):
-            csr_multiply_transpose(rect, np.ones(rect.shape[1]))  # wrong side
+            rect.multiply_transpose(np.ones(rect.shape[1]))  # wrong side
         with pytest.raises(ValueError):
-            csr_multiply_transpose(
-                rect, np.ones(rect.shape[0]), np.ones(rect.shape[0])
-            )
+            rect.multiply_transpose(np.ones((rect.shape[0], 1)))  # not 1-D
 
 
 class TestEngineKernels:
@@ -167,6 +162,27 @@ class TestReverseScatterAndMPITranspose:
 
         for result in run_spmd(3, prog):
             assert np.allclose(result, expected, atol=1e-11)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_compressed_ghost_contributions_match_the_expanded_block(self, size):
+        """The off-diagonal transpose runs on the compressed rows only;
+        empty rows add nothing, so it equals the expanded block bitwise."""
+        csr = gray_scott_jacobian(8)
+        x = np.random.default_rng(8).standard_normal(csr.shape[0])
+
+        def prog(comm):
+            a = MPIAij.from_global_csr(comm, csr)
+            xv = MPIVec.from_global(comm, a.layout, x)
+            off = a.offdiag
+            local = xv.local.array
+            compressed = off.inner.multiply_transpose(local[off.nzrows])
+            expanded = off.expand().multiply_transpose(local)
+            return bool(np.array_equal(compressed, expanded)), off.nnz
+
+        results = run_spmd(size, prog)
+        assert all(same for same, _ in results)
+        if size > 1:
+            assert all(nnz > 0 for _, nnz in results)
 
     def test_forward_and_reverse_scatter_compose_to_identity_action(self):
         """reverse(forward(x)) accumulates each ghost exactly once."""

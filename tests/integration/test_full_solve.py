@@ -11,7 +11,9 @@ import pytest
 
 from repro.core.sell import SellMat
 from repro.ksp import GMRES, JacobiPC, MGPC, ThetaMethod
+from repro.mat.aij_perm import AijPermMat
 from repro.mat.baij import BaijMat
+from repro.mat.ellpack import EllpackMat
 from repro.pde import Grid2D, GrayScottProblem
 
 
@@ -125,34 +127,55 @@ class TestSolverBehaviour:
             assert s.jacobian_builds == s.newton_iterations
 
 
+def final_state_digest(operator_wrapper) -> str:
+    """SHA-256 of the state after 2 Crank-Nicolson steps on 16^2 with
+    Newton + GMRES(30) + 3-level MG, the Jacobian wrapped at every Newton
+    iteration (the benchmark's stepper)."""
+    import hashlib
+
+    grid = Grid2D(16, 16, dof=2)
+    problem = GrayScottProblem(grid)
+    ts = ThetaMethod(
+        rhs=problem.rhs,
+        jacobian=problem.jacobian,
+        ksp_factory=lambda: GMRES(
+            pc=MGPC(grids=grid.hierarchy(3)), rtol=1e-8, restart=30
+        ),
+        operator_wrapper=operator_wrapper,
+        theta=0.5,
+        dt=1.0,
+        snes_rtol=1e-8,
+    )
+    w = problem.initial_state(seed=1)
+    for _ in range(2):
+        w, _ = ts.step(w)
+    return hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()
+
+
 class TestTrajectoryPin:
-    #: SHA-256 of the final-state bytes below, recorded before the setup
-    #: paths (assembly, MatConvert, MatGetDiagonal) were vectorized.  Any
-    #: change to their arithmetic or ordering shows up here as a new digest.
+    #: SHA-256 of the final-state bytes of :func:`final_state_digest`.
+    #: Any change to the arithmetic or ordering of assembly, MatConvert,
+    #: MatGetDiagonal or MatMult (SciPy's sequential CSR row sum, for every
+    #: format) shows up here as a new digest.
     FINAL_STATE_SHA256 = (
-        "3f3140f5e1ae7e6a61043eb69bda0adcc55884ca3bb836c6ad61839fb0d1f59d"
+        "61f5c89e20e2f6d1f013503b121e106a68b507d962f2f6d7b16f58af3360b039"
     )
 
     def test_sell_mg_run_is_bit_identical(self):
-        """16^2, 2 Crank-Nicolson steps, Newton + GMRES(30) + 3-level MG,
-        SELL rebuilt at every Newton iteration (the benchmark's stepper)."""
-        import hashlib
-
-        grid = Grid2D(16, 16, dof=2)
-        problem = GrayScottProblem(grid)
-        ts = ThetaMethod(
-            rhs=problem.rhs,
-            jacobian=problem.jacobian,
-            ksp_factory=lambda: GMRES(
-                pc=MGPC(grids=grid.hierarchy(3)), rtol=1e-8, restart=30
-            ),
-            operator_wrapper=lambda m: SellMat.from_csr(m.to_csr(), 8),
-            theta=0.5,
-            dt=1.0,
-            snes_rtol=1e-8,
-        )
-        w = problem.initial_state(seed=1)
-        for _ in range(2):
-            w, _ = ts.step(w)
-        digest = hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()
+        digest = final_state_digest(lambda m: SellMat.from_csr(m.to_csr(), 8))
         assert digest == self.FINAL_STATE_SHA256
+
+    @pytest.mark.parametrize(
+        "fmt", ["AIJ", "SELL-sigma64", "ELLPACK", "CSRPerm", "BAIJ2"]
+    )
+    def test_every_operator_format_gives_the_same_trajectory(self, fmt):
+        """README rule 1: the trajectory does not depend on the format
+        the Jacobian is stored in, down to the last bit."""
+        wrap = {
+            "AIJ": lambda m: m.to_csr(),
+            "SELL-sigma64": lambda m: SellMat.from_csr(m.to_csr(), 8, sigma=64),
+            "ELLPACK": lambda m: EllpackMat.from_csr(m.to_csr()),
+            "CSRPerm": lambda m: AijPermMat.from_csr(m.to_csr()),
+            "BAIJ2": lambda m: BaijMat.from_csr(m.to_csr(), 2),
+        }[fmt]
+        assert final_state_digest(wrap) == self.FINAL_STATE_SHA256
