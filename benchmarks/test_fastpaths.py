@@ -4,8 +4,9 @@ These are real timings on the host (unlike the modeled figure numbers):
 every format's forward product on the reference Gray-Scott operator, the
 transpose products, a SELL triangular solve, the distributed SpMV over
 the simulated runtime, and the setup paths a Newton step pays for before
-any product: assembly, MatConvert, the SELL-to-CSR round trip and
-MatGetDiagonal.  They guard against performance regressions in the fast
+any product: the Jacobian assembly, MatConvert, the SELL-to-CSR round
+trip, MatGetDiagonal and the Galerkin triple product, the last with its
+symbolic plan cold (first step) and warm (every later step).  They guard against performance regressions in the fast
 paths the solvers depend on; every product is checked bit for bit against
 SciPy's CSR product, which all formats share.
 """
@@ -44,9 +45,47 @@ def test_sell_from_csr(benchmark, reference_operator):
 
 
 def test_sell_to_csr(benchmark, reference_operator):
-    sell = SellMat.from_csr(reference_operator, 8)
-    back = benchmark(sell.to_csr)
+    # A fresh matrix every round: to_csr() is built once per matrix.
+    back = benchmark.pedantic(
+        lambda sell: sell.to_csr(),
+        setup=lambda: ((SellMat.from_csr(reference_operator, 8),), {}),
+        rounds=50,
+    )
     assert np.array_equal(back.val, reference_operator.val)
+
+
+@pytest.mark.parametrize("plan", ["cold", "warm"])
+def test_galerkin_triple_product(benchmark, reference_operator, plan):
+    """``R A P`` onto the 32x32 level; a cold plan re-runs the symbolic phase."""
+    from repro.core.registry import PLANS
+    from repro.ksp.pc.mg import csr_matmul, grid_transfers
+    from repro.pde import Grid2D
+
+    fine = Grid2D(64, 64, dof=2)
+    p, r = grid_transfers(fine.coarsen(), fine)
+    key = PLANS.matmat_key(r, reference_operator, p)
+
+    def setup():
+        if plan == "cold":
+            PLANS.invalidate("matmat", key)
+        return (r, reference_operator, p), {}
+
+    coarse = benchmark.pedantic(csr_matmul, setup=setup, rounds=20)
+    # The one-unit chain plan and two pairwise plans give the same bits.
+    two_step = csr_matmul(csr_matmul(r, reference_operator), p)
+    assert np.array_equal(coarse.rowptr, two_step.rowptr)
+    assert np.array_equal(coarse.colidx, two_step.colidx)
+    assert np.array_equal(coarse.val, two_step.val)
+
+
+def test_gray_scott_jacobian_assembly(benchmark):
+    """One Newton step's Jacobian on the reference grid (cached pattern)."""
+    from repro.pde import Grid2D, GrayScottProblem
+
+    problem = GrayScottProblem(Grid2D(64, 64, dof=2))
+    w = problem.initial_state()
+    jac = benchmark(problem.jacobian, w, 1.0, -0.5)
+    assert jac.nnz == 10 * jac.shape[0]
 
 
 @pytest.mark.parametrize("fmt", ["CSR", "SELL"])

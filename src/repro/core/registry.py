@@ -35,6 +35,16 @@ server passes one shared registry to every context view it derives.
 Entries whose payload depends on the *pricing* of a machine (tune results,
 autotune winners) carry a policy key — ``(processor, memory mode,
 nprocs)`` — so views at different rank counts coexist in one store.
+
+:data:`PLANS` is the one process-wide registry of *symbolic* setup plans
+(PETSc's symbolic/numeric split, Cetinic et al.'s inspector step, arXiv
+2111.12243): the Galerkin product plans and grid transfers of
+:mod:`repro.ksp.pc.mg`, the Jacobian pattern of
+:mod:`repro.pde.grayscott` and the SELL slot maps of
+:mod:`repro.core.sell`.  Each entry is a pure function of structure, so a
+Newton step that reassembles values on a fixed stencil computes it once
+and then only runs the numeric phase.  Cached plans are shared and
+read-only; ``PLANS.clear()`` empties the store.
 """
 
 from __future__ import annotations
@@ -56,6 +66,10 @@ NAMESPACES = (
     "verify",
     "numcert",
     "default_x",
+    "matmat",
+    "transfer",
+    "pattern",
+    "sell",
 )
 
 
@@ -211,6 +225,28 @@ class SignatureRegistry:
     def default_x_key(n: int) -> tuple:
         """Key of the reproducible default input vector of length ``n``."""
         return (n,)
+
+    @classmethod
+    def matmat_key(cls, *factors) -> tuple:
+        """Key of a symbolic sparse-product plan: every factor's structure
+        and shape, left to right (values never enter)."""
+        return tuple((cls.structure_key(f), f.shape) for f in factors)
+
+    @staticmethod
+    def transfer_key(coarse, fine) -> tuple:
+        """Key of the grid transfers between two frozen grids."""
+        return (coarse, fine)
+
+    @staticmethod
+    def pattern_key(kind: str, grid) -> tuple:
+        """Key of an assembly pattern that depends on a frozen grid only."""
+        return (kind, grid)
+
+    @classmethod
+    def sell_key(cls, csr, slice_height: int, sigma: int) -> tuple:
+        """Key of a SELL slot map (structural: the slices, the sigma
+        permutation and the padded column indices ignore values)."""
+        return (cls.structure_key(csr), slice_height, sigma)
 
     # -- striping ------------------------------------------------------
     def _stripe_of(self, full_key: tuple) -> _Stripe:
@@ -395,3 +431,16 @@ class SignatureRegistry:
             f"SignatureRegistry(stripes={len(self._stripes)}, "
             f"capacity={self.capacity}, entries={self.size()})"
         )
+
+
+def read_only(*arrays) -> None:
+    """Mark plan arrays read-only: a shared plan must not be mutated."""
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+
+
+#: The process-wide store of symbolic setup plans (see the module
+#: docstring).  One entry per structure; the LRU bound caps a long run
+#: that meets many structures.
+PLANS = SignatureRegistry(stripes=4, capacity=64)

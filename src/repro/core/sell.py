@@ -28,6 +28,16 @@ gather the real slots back in row order.  All three are bit-exact: a
 CSR -> SELL -> CSR round trip returns the input arrays unchanged (rows
 column-sorted), and ``diagonal()`` equals ``np.diag(to_dense())`` bitwise.
 
+Symbolic once, numeric per step: everything but the values — the sigma
+permutation, ``sliceptr``, the row map, the entry slots and the padded
+column indices — depends on the CSR structure alone.  :meth:`from_csr`
+keeps it per structure in the process-wide plan store
+(:data:`repro.core.registry.PLANS`), so a Newton step that reconverts a
+reassembled Jacobian pays one scatter of the values.  Plan arrays are
+shared between matrices and read-only.  ``to_csr()`` is built once per
+matrix and shared with the product handle; like every assembled matrix,
+a SELL matrix and its CSR form are not mutated once used.
+
 Design decisions the paper argues for are parameters here so the ablation
 benchmarks can contradict them: ``slice_height`` sweeps C (C = 1
 degenerates to CSR), ``sigma`` enables SELL-C-sigma window sorting
@@ -37,11 +47,15 @@ Section 5.4).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..mat.aij import AijMat
 from ..mat.base import Mat, register_format
+from ..mat.ellpack import padding_columns
 from ..memory.spaces import aligned_alloc
+from .registry import PLANS, read_only
 
 
 class SellMat(Mat):
@@ -91,10 +105,11 @@ class SellMat(Mat):
             if perm.shape != (m,):
                 raise ValueError("perm must have one entry per row")
         self.perm = perm
-
-        # Precomputed slot -> output-row map (:attr:`row_map`), read by the
-        # conversion's padding fill and the transpose kernels.
-        self._row_of_element = self._build_row_map()
+        # Structure-derived arrays, built on first use (or handed over by
+        # the cached plan in :meth:`from_csr`) and the CSR form, built once.
+        self._row_of_element: np.ndarray | None = None
+        self._slots: np.ndarray | None = None
+        self._csr: AijMat | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -120,68 +135,29 @@ class SellMat(Mat):
             raise ValueError("sigma must be positive")
         if sigma > 1 and sigma % slice_height:
             raise ValueError("sigma must be a multiple of the slice height")
-        m, n = csr.shape
-        c = slice_height
-        lengths = csr.row_lengths().astype(np.int64)
-
-        if sigma > 1:
-            # Stable sort by (window, descending length): rows of equal
-            # length keep their order inside each window of sigma rows.
-            window = np.arange(m, dtype=np.int64) // sigma
-            perm = np.lexsort((-lengths, window))
-        else:
-            perm = None
-
-        nslices = -(-m // c)
-        storage_lengths = np.zeros(nslices * c, dtype=np.int64)
-        storage_lengths[:m] = lengths[perm] if perm is not None else lengths
-        widths = storage_lengths.reshape(nslices, c).max(axis=1)
-        sliceptr = np.zeros(nslices + 1, dtype=np.int64)
-        np.cumsum(widths * c, out=sliceptr[1:])
-
-        # Construct first so the fill below writes straight into the
-        # aligned buffers and reuses the row map the constructor builds.
-        # The zero-stride placeholders cost no memory to copy from.
-        total = int(sliceptr[-1])
+        plan = PLANS.get_or_compute(
+            "sell",
+            PLANS.sell_key(csr, slice_height, sigma),
+            lambda: _SellPlan.build(csr, slice_height, sigma),
+        )
+        # The zero-stride placeholder costs no memory to copy from; the
+        # numeric phase is one scatter of the values into their slots.
+        total = int(plan.sliceptr[-1])
         sell = cls(
-            (m, n),
-            c,
-            sliceptr,
+            csr.shape,
+            slice_height,
+            plan.sliceptr,
             np.broadcast_to(np.float64(0.0), (total,)),
-            np.broadcast_to(np.int32(0), (total,)),
-            lengths,
-            perm=perm,
+            plan.colidx,
+            plan.lengths,
+            perm=plan.perm,
             sigma=sigma,
             alignment=alignment,
         )
-        # Padding reuses a real (local) column of the same row: its last
-        # one, or column 0 for an empty row.  Trailing rows past m get
-        # column 0, a safe local index.
-        last = np.zeros(m, dtype=np.int32)
-        nonempty = lengths > 0
-        last[nonempty] = csr.colidx[csr.rowptr[1:][nonempty] - 1]
-        # mode="clip" lets take() write straight into ``out`` (the default
-        # mode buffers a slot-sized copy); row-map entries are in range.
-        np.take(last, sell.row_map, out=sell.colidx, mode="clip")
-        real_lanes = m - (nslices - 1) * c
-        if nslices and real_lanes < c:
-            sell.colidx[sliceptr[-2] :].reshape(-1, c)[:, real_lanes:] = 0
-        slots = sell._entry_slots()
-        sell.val[slots] = csr.val
-        sell.colidx[slots] = csr.colidx
+        sell._row_of_element = plan.row_map
+        sell._slots = plan.slots
+        sell.val[plan.slots] = csr.val
         return sell
-
-    def _build_row_map(self) -> np.ndarray:
-        """Output row of every stored slot (padding maps to its slice row)."""
-        m, _ = self.shape
-        c = self.slice_height
-        lanes = np.minimum(np.arange(self.nslices * c, dtype=np.int64), max(m - 1, 0))
-        out_rows = self.perm[lanes] if self.perm is not None else lanes
-        # Column-major within the slice (slot = base + j*C + i): slice s
-        # repeats its C lane rows once per column of its width.
-        widths = np.diff(self.sliceptr) // c
-        columns = np.repeat(np.arange(self.nslices), widths)
-        return out_rows.reshape(-1, c)[columns].reshape(-1)
 
     def _entry_slots(self) -> np.ndarray:
         """Slot of every real entry, rows in order and each row by ``j``.
@@ -190,24 +166,11 @@ class SellMat(Mat):
         ``sliceptr[k // C] + j*C + k % C``; the result lines up with the
         entries of the CSR matrix this one was converted from.
         """
-        m = self.shape[0]
-        c = self.slice_height
-        if self.perm is None:
-            pos = np.arange(m, dtype=np.int64)
-        else:
-            pos = np.empty(m, dtype=np.int64)
-            pos[self.perm] = np.arange(m, dtype=np.int64)
-        first = self.sliceptr[pos // c] + pos % c
-        # Consecutive entries of a row lie C slots apart, and each row's
-        # entry 0 jumps from the previous row's last slot: a running sum
-        # of those steps gives every slot in one nnz-sized array.
-        rows = np.flatnonzero(self.rlen)
-        starts = (np.cumsum(self.rlen) - self.rlen)[rows]
-        last = first[rows] + (self.rlen[rows] - 1) * c
-        slots = np.full(self.nnz, c, dtype=np.int64)
-        slots[starts] = first[rows] - np.concatenate(([0], last[:-1]))
-        np.cumsum(slots, out=slots)
-        return slots
+        if self._slots is None:
+            self._slots = _entry_slots(
+                self.slice_height, self.sliceptr, self.rlen, self.perm
+            )
+        return self._slots
 
     # ------------------------------------------------------------------
     # structure
@@ -223,6 +186,10 @@ class SellMat(Mat):
         The inverse view of the column-major slice layout; the transpose
         kernels read it to know which x entry each slot multiplies.
         """
+        if self._row_of_element is None:
+            self._row_of_element = _row_map(
+                self.shape[0], self.slice_height, self.sliceptr, self.perm
+            )
         return self._row_of_element
 
     @property
@@ -261,12 +228,29 @@ class SellMat(Mat):
     # operations
     # ------------------------------------------------------------------
     def to_csr(self) -> AijMat:
-        m, n = self.shape
-        slots = self._entry_slots()
-        rows = np.repeat(np.arange(m, dtype=np.int64), self.rlen)
-        return AijMat.from_coo(
-            (m, n), rows, self.colidx[slots], self.val[slots], sum_duplicates=False
-        )
+        """The CSR form, built once per matrix and shared (don't mutate it).
+
+        The slots are gathered in row order; a row whose columns are not
+        sorted goes through :meth:`AijMat.from_coo` to sort them.
+        """
+        if self._csr is None:
+            m, n = self.shape
+            slots = self._entry_slots()
+            cols, vals = self.colidx[slots], self.val[slots]
+            rowptr = np.zeros(m + 1, dtype=np.int64)
+            np.cumsum(self.rlen, out=rowptr[1:])
+            # Columns may only step down where a new row starts.
+            sorted_rows = np.diff(cols) >= 0
+            starts = rowptr[1:-1]
+            sorted_rows[starts[(starts > 0) & (starts < cols.size)] - 1] = True
+            if sorted_rows.all():
+                self._csr = AijMat((m, n), rowptr, cols, vals)
+            else:
+                rows = np.repeat(np.arange(m, dtype=np.int64), self.rlen)
+                self._csr = AijMat.from_coo(
+                    (m, n), rows, cols, vals, sum_duplicates=False
+                )
+        return self._csr
 
     def memory_bytes(self) -> int:
         """Storage footprint: padded val + colidx, sliceptr, rlen, perm."""
@@ -299,6 +283,97 @@ class SellMat(Mat):
         )
         # bincount of an empty index array comes back int64.
         return diag.astype(np.float64, copy=False)
+
+
+def _row_map(
+    m: int, c: int, sliceptr: np.ndarray, perm: np.ndarray | None
+) -> np.ndarray:
+    """Output row of every stored slot (padding maps to its slice row)."""
+    nslices = sliceptr.shape[0] - 1
+    lanes = np.minimum(np.arange(nslices * c, dtype=np.int64), max(m - 1, 0))
+    out_rows = perm[lanes] if perm is not None else lanes
+    # Column-major within the slice (slot = base + j*C + i): slice s
+    # repeats its C lane rows once per column of its width.
+    widths = np.diff(sliceptr) // c
+    columns = np.repeat(np.arange(nslices), widths)
+    return out_rows.reshape(-1, c)[columns].reshape(-1)
+
+
+def _entry_slots(
+    c: int, sliceptr: np.ndarray, rlen: np.ndarray, perm: np.ndarray | None
+) -> np.ndarray:
+    """Slot of every real entry, rows in order (see SellMat._entry_slots)."""
+    m = rlen.shape[0]
+    if perm is None:
+        pos = np.arange(m, dtype=np.int64)
+    else:
+        pos = np.empty(m, dtype=np.int64)
+        pos[perm] = np.arange(m, dtype=np.int64)
+    first = sliceptr[pos // c] + pos % c
+    # Consecutive entries of a row lie C slots apart, and each row's
+    # entry 0 jumps from the previous row's last slot: a running sum
+    # of those steps gives every slot in one nnz-sized array.
+    rows = np.flatnonzero(rlen)
+    starts = (np.cumsum(rlen) - rlen)[rows]
+    last = first[rows] + (rlen[rows] - 1) * c
+    slots = np.full(int(rlen.sum()), c, dtype=np.int64)
+    slots[starts] = first[rows] - np.concatenate(([0], last[:-1]))
+    np.cumsum(slots, out=slots)
+    return slots
+
+
+@dataclass(frozen=True)
+class _SellPlan:
+    """The symbolic phase of :meth:`SellMat.from_csr`, for one structure.
+
+    Everything here is a function of the CSR structure and ``(C, sigma)``
+    alone: the sigma permutation, the slices, the slot maps and the padded
+    column indices.  Plans are shared through the plan store, so every
+    array is read-only.
+    """
+
+    lengths: np.ndarray
+    perm: np.ndarray | None
+    sliceptr: np.ndarray
+    colidx: np.ndarray
+    row_map: np.ndarray
+    slots: np.ndarray
+
+    @classmethod
+    def build(cls, csr: AijMat, c: int, sigma: int) -> "_SellPlan":
+        m = csr.shape[0]
+        lengths = csr.row_lengths().astype(np.int64)
+        if sigma > 1:
+            # Stable sort by (window, descending length): rows of equal
+            # length keep their order inside each window of sigma rows.
+            window = np.arange(m, dtype=np.int64) // sigma
+            perm = np.lexsort((-lengths, window))
+        else:
+            perm = None
+
+        nslices = -(-m // c)
+        storage_lengths = np.zeros(nslices * c, dtype=np.int64)
+        storage_lengths[:m] = lengths[perm] if perm is not None else lengths
+        widths = storage_lengths.reshape(nslices, c).max(axis=1)
+        sliceptr = np.zeros(nslices + 1, dtype=np.int64)
+        np.cumsum(widths * c, out=sliceptr[1:])
+        row_map = _row_map(m, c, sliceptr, perm)
+        slots = _entry_slots(c, sliceptr, lengths, perm)
+
+        # Padding reuses a real (local) column of the same row: its last
+        # one, or column 0 for an empty row.  Trailing rows past m get
+        # column 0, a safe local index.
+        colidx = np.empty(int(sliceptr[-1]), dtype=np.int32)
+        # mode="clip" lets take() write straight into ``out`` (the default
+        # mode buffers a slot-sized copy); row-map entries are in range.
+        np.take(padding_columns(csr), row_map, out=colidx, mode="clip")
+        real_lanes = m - (nslices - 1) * c
+        if nslices and real_lanes < c:
+            colidx[sliceptr[-2] :].reshape(-1, c)[:, real_lanes:] = 0
+        colidx[slots] = csr.colidx
+        arrays = (lengths, perm, sliceptr, colidx, row_map, slots)
+        read_only(*arrays)
+        return cls(*arrays)
 
 
 @register_format("SELL")

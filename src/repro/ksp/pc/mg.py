@@ -10,12 +10,22 @@ Pieces:
 
 * :func:`bilinear_prolongation` — periodic bilinear interpolation between
   factor-2 grids, per degree of freedom (the DMDA interpolation);
-* :func:`csr_matmul` — a fully vectorized CSR x CSR product, used for the
+  :func:`grid_transfers` builds it and its restriction once per grid pair;
+* :func:`csr_matmul` — a fully vectorized CSR product chain, used for the
   Galerkin triple product ``R A P`` when no rediscretization callback is
-  supplied;
+  supplied.  It is split like PETSc's ``MatPtAP`` with
+  ``MAT_REUSE_MATRIX``: a symbolic :class:`ProductPlan` per structure, and
+  a numeric phase per call that is bitwise equal to the expand-and-
+  assemble product;
 * :class:`MGPC` — the V/W-cycle preconditioner; each level holds its
   operator behind a :class:`~repro.ksp.base.CountingOperator` so the
   benchmarks can attribute every matvec, level by level, as -log_view does.
+
+Symbolic once, numeric per step: the Gray-Scott Jacobian keeps one
+sparsity structure for a whole run, so the transfers and the Galerkin
+plans are computed once and kept in :data:`repro.core.registry.PLANS`,
+keyed by grid pair and by factor structure.  Both are shared and
+read-only; a caller that needs a scaled transfer copies it first.
 """
 
 from __future__ import annotations
@@ -25,7 +35,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ...mat.aij import AijMat
+from ...core.registry import PLANS, read_only
+from ...mat.aij import AijMat, coo_pattern
+from ...obs.observer import obs_event
 from ...pde.grid import Grid2D
 from ..base import CountingOperator, LinearOperator
 
@@ -33,37 +45,109 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ...core.context import ExecutionContext
 
 
-def csr_matmul(a: AijMat, b: AijMat) -> AijMat:
-    """C = A @ B for CSR operands, fully vectorized.
+@dataclass(frozen=True)
+class _ProductStage:
+    """One step ``L @ F`` of a product chain, with the values left out."""
 
-    Expands every A entry into the B row it multiplies (the classic
-    Gustavson formulation flattened into NumPy index arithmetic) and
-    reduces duplicates in one pass.
+    left: np.ndarray  #: index into L's values of every expanded product
+    right: np.ndarray  #: index into F's values of every expanded product
+    segments: np.ndarray  #: output entry every product adds into
+    nnz: int  #: output entries
+
+
+@dataclass(frozen=True)
+class ProductPlan:
+    """The symbolic phase of :func:`csr_matmul` (PETSc's MatMatMultSymbolic).
+
+    Holds the output pattern and, per left-to-right step of the chain, the
+    gather maps from expanded products to output entries, already in the
+    stable ``(row, col)`` order :meth:`AijMat.from_coo` sorts triplets
+    into.  The arrays are read-only: one plan serves every product on the
+    same structures, whatever their values.
     """
-    ma, ka = a.shape
-    kb, nb = b.shape
-    if ka != kb:
-        raise ValueError(f"inner dimensions differ: {ka} vs {kb}")
-    if a.nnz == 0 or b.nnz == 0:
-        return AijMat.from_coo(
-            (ma, nb),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    a_rows = np.repeat(np.arange(ma, dtype=np.int64), a.row_lengths())
-    a_cols = a.colidx.astype(np.int64)
-    b_lengths = b.row_lengths()
-    reps = b_lengths[a_cols]
-    total = int(reps.sum())
-    starts = b.rowptr[a_cols]
-    cum = np.concatenate(([0], np.cumsum(reps)[:-1]))
-    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - cum, reps)
-    out_rows = np.repeat(a_rows, reps)
-    out_cols = b.colidx[flat].astype(np.int64)
-    out_vals = np.repeat(a.val, reps) * b.val[flat]
-    return AijMat.from_coo((ma, nb), out_rows, out_cols, out_vals,
-                           sum_duplicates=True)
+
+    shape: tuple[int, int]
+    rowptr: np.ndarray
+    colidx: np.ndarray
+    stages: tuple[_ProductStage, ...]
+
+    @classmethod
+    def build(cls, *factors: AijMat) -> "ProductPlan":
+        """Expand every left entry into the right row it multiplies (the
+        Gustavson formulation flattened into index arithmetic) and sort
+        the products once, per step of the chain."""
+        shape = factors[0].shape
+        rowptr, colidx = factors[0].rowptr, factors[0].colidx
+        stages = []
+        for f in factors[1:]:
+            m = shape[0]
+            shape = (m, f.shape[1])
+            left_rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(rowptr))
+            left_cols = colidx.astype(np.int64)
+            reps = f.row_lengths()[left_cols]
+            total = int(reps.sum())
+            cum = np.concatenate(([0], np.cumsum(reps)[:-1]))
+            right = np.arange(total, dtype=np.int64)
+            right += np.repeat(f.rowptr[left_cols] - cum, reps)
+            left = np.repeat(np.arange(left_cols.size, dtype=np.int64), reps)
+            pattern = coo_pattern(
+                shape, np.repeat(left_rows, reps), f.colidx[right]
+            )
+            rowptr, colidx = pattern.rowptr, pattern.colidx
+            segments = pattern.segments
+            if segments is None:  # no products at all
+                segments = np.zeros(0, dtype=np.int64)
+            stage = _ProductStage(
+                left[pattern.order], right[pattern.order], segments,
+                int(colidx.size),
+            )
+            read_only(stage.left, stage.right, stage.segments)
+            stages.append(stage)
+        colidx = colidx.astype(np.int32)
+        read_only(rowptr, colidx)
+        return cls(shape, rowptr, colidx, tuple(stages))
+
+    def numeric(self, *factors: AijMat) -> AijMat:
+        """The product of ``factors`` (which must have the planned
+        structures): per step one gather-multiply, then the ordered segment
+        sum ``from_coo(sum_duplicates=True)`` runs — the same products
+        added in the same order, so the same bits."""
+        vals = factors[0].val
+        for stage, f in zip(self.stages, factors[1:], strict=True):
+            vals = np.bincount(
+                stage.segments,
+                weights=vals[stage.left] * f.val[stage.right],
+                minlength=stage.nnz,
+            )
+        return AijMat(self.shape, self.rowptr, self.colidx, vals)
+
+
+def csr_matmul(*factors: AijMat) -> AijMat:
+    """``A @ B`` (or a longer chain, multiplied left to right) for CSR
+    operands, fully vectorized.
+
+    The symbolic phase (:class:`ProductPlan`) runs once per combination
+    of factor structures and is kept in the process-wide plan store
+    (:data:`repro.core.registry.PLANS`); every call then pays only the
+    numeric phase.  ``csr_matmul(r, a, p)`` is bitwise equal to
+    ``csr_matmul(csr_matmul(r, a), p)`` without building or hashing the
+    intermediate ``r @ a``.
+    """
+    if len(factors) < 2:
+        raise ValueError("csr_matmul needs at least two factors")
+    for a, b in zip(factors, factors[1:], strict=False):
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(
+                f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}"
+            )
+
+    def symbolic() -> ProductPlan:
+        with obs_event("MatMatMultSymbolic"):
+            return ProductPlan.build(*factors)
+
+    plan = PLANS.get_or_compute("matmat", PLANS.matmat_key(*factors), symbolic)
+    with obs_event("MatMatMultNumeric"):
+        return plan.numeric(*factors)
 
 
 def bilinear_prolongation(coarse: Grid2D, fine: Grid2D) -> AijMat:
@@ -127,6 +211,26 @@ def full_weighting_restriction(prolongation: AijMat) -> AijMat:
     r = prolongation.transpose()
     r.val *= 0.25
     return r
+
+
+def grid_transfers(coarse: Grid2D, fine: Grid2D) -> tuple[AijMat, AijMat]:
+    """``(P, R)`` between two grids, built once per grid pair.
+
+    The pair lives in the plan store and is shared by every
+    :class:`MGPC` on those grids, so its arrays are read-only: a transfer
+    is never mutated (scale a copy instead).
+    """
+
+    def build() -> tuple[AijMat, AijMat]:
+        p = bilinear_prolongation(coarse, fine)
+        r = full_weighting_restriction(p)
+        for mat in (p, r):
+            read_only(mat.rowptr, mat.colidx, mat.val)
+        return p, r
+
+    return PLANS.get_or_compute(
+        "transfer", PLANS.transfer_key(coarse, fine), build
+    )
 
 
 @dataclass
@@ -199,27 +303,31 @@ class MGPC:
 
     # -- setup ----------------------------------------------------------
     def setup(self, op: LinearOperator) -> None:
-        """Build the level hierarchy under the given fine operator."""
+        """Build the level hierarchy under the given fine operator.
+
+        Only the numeric work repeats per call: the transfers come from
+        :func:`grid_transfers` and each Galerkin product ``R A P`` reuses
+        the plan of its structure, so a Newton step that reassembles
+        values on one stencil re-sorts nothing.
+        """
         self.levels = []
-        fine_csr = op.to_csr() if hasattr(op, "to_csr") else None
         if self.grids is None or len(self.grids) == 1:
             self.levels.append(self._make_level(op, None, None))
             return
-        if fine_csr is None:
+        if not hasattr(op, "to_csr"):
             raise TypeError("MGPC needs a fine operator exposing to_csr()")
 
-        current: AijMat = fine_csr
+        current: AijMat = op.to_csr()
         prolongations: list[AijMat | None] = [None]
         restrictions: list[AijMat | None] = [None]
         ops: list[AijMat] = [current]
         for lvl in range(1, len(self.grids)):
             fine_grid, coarse_grid = self.grids[lvl - 1], self.grids[lvl]
-            p = bilinear_prolongation(coarse_grid, fine_grid)
-            r = full_weighting_restriction(p)
+            p, r = grid_transfers(coarse_grid, fine_grid)
             if self.operator_factory is not None:
                 coarse_op = self.operator_factory(coarse_grid)
             else:
-                coarse_op = csr_matmul(csr_matmul(r, current), p)
+                coarse_op = csr_matmul(r, current, p)
             prolongations.append(p)
             restrictions.append(r)
             ops.append(coarse_op)

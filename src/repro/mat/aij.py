@@ -12,7 +12,9 @@ Every operation is whole-array NumPy, with no Python loop over rows:
   key ``row*n + col`` — the same permutation as a stable (row, col)
   lexsort — after which columns and row pointers are read off the sorted
   keys.  Indices are range-checked before they are keyed, so an
-  out-of-range triplet raises instead of aliasing onto another entry;
+  out-of-range triplet raises instead of aliasing onto another entry.
+  The sort is its symbolic phase, :func:`coo_pattern`, which callers that
+  reassemble one pattern many times keep and reuse;
 * :meth:`AijMat.diagonal` (MatGetDiagonal) masks ``colidx == row`` and
   ``bincount``-sums the hits, so duplicate and unsorted entries count
   exactly as in :meth:`multiply` and ``to_dense``;
@@ -25,10 +27,66 @@ Every operation is whole-array NumPy, with no Python loop over rows:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..memory.spaces import aligned_alloc
 from .base import Mat, register_format
+
+
+class CooPattern(NamedTuple):
+    """The value-free half of :meth:`AijMat.from_coo` (its symbolic phase).
+
+    Sorted triplet ``k`` is input triplet ``order[k]``; with duplicates
+    summed, it adds into output entry ``segments[k]`` (``None`` when
+    duplicates are kept, or there are no triplets).  A caller that
+    assembles the same ``(rows, cols)`` many times keeps the pattern and
+    runs only the numeric phase, which is bitwise the same as
+    ``from_coo``::
+
+        vals = vals[pattern.order]
+        if pattern.segments is not None:
+            vals = np.bincount(pattern.segments, weights=vals)
+        AijMat(shape, pattern.rowptr, pattern.colidx, vals)
+    """
+
+    order: np.ndarray
+    segments: np.ndarray | None
+    rowptr: np.ndarray
+    colidx: np.ndarray
+
+
+def coo_pattern(
+    shape: tuple[int, int],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    sum_duplicates: bool = True,
+) -> CooPattern:
+    """Where each triplet lands in CSR: one stable sort of ``row*n + col``.
+
+    Indices are range-checked before they are keyed, so an out-of-range
+    triplet raises instead of aliasing onto another entry.
+    """
+    m, n = shape
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= m):
+        raise IndexError("row index out of range")
+    if cols.size and (cols.min() < 0 or cols.max() >= n):
+        raise IndexError("column index out of range")
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    segments = None
+    if sum_duplicates and key.size:
+        keep = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        segments = np.cumsum(keep) - 1
+        key = key[keep]
+    # Keys are sorted, so row i starts at the first key >= i*n.
+    rowptr = np.searchsorted(key, np.arange(m + 1, dtype=np.int64) * n)
+    return CooPattern(order, segments, rowptr, key % n)
 
 
 class AijMat(Mat):
@@ -85,25 +143,11 @@ class AijMat(Mat):
         order, so ``sum_duplicates=False`` stores them in that order and
         summing adds them in it.
         """
-        m, n = shape
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if rows.size and (rows.min() < 0 or rows.max() >= m):
-            raise IndexError("row index out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
-            raise IndexError("column index out of range")
-        key = rows * n + cols
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], vals[order]
-        if sum_duplicates and key.size:
-            keep = np.ones(key.size, dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=keep[1:])
-            vals = np.bincount(np.cumsum(keep) - 1, weights=vals)
-            key = key[keep]
-        # Keys are sorted, so row i starts at the first key >= i*n.
-        rowptr = np.searchsorted(key, np.arange(m + 1, dtype=np.int64) * n)
-        return cls(shape, rowptr, key % n, vals)
+        pattern = coo_pattern(shape, rows, cols, sum_duplicates)
+        vals = np.asarray(vals, dtype=np.float64)[pattern.order]
+        if pattern.segments is not None:
+            vals = np.bincount(pattern.segments, weights=vals)
+        return cls(shape, pattern.rowptr, pattern.colidx, vals)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, drop_tol: float = 0.0) -> "AijMat":

@@ -7,6 +7,10 @@ index traffic relative to AIJ and enables register blocking on CPUs with
 narrow vectors — though, as the paper notes (Section 3.2), small natural
 blocks map poorly onto 512-bit registers, which is precisely why SELL wins
 on KNL.
+
+Conversion from CSR is whole-array: the stored blocks are the distinct
+``(block row, block column)`` keys in sorted order, and every entry adds
+into its block cell with one ``bincount``, in storage order.
 """
 
 from __future__ import annotations
@@ -57,29 +61,23 @@ class BaijMat(Mat):
         m, n = csr.shape
         if m % bs or n % bs:
             raise ValueError(f"matrix {m}x{n} not divisible by block size {bs}")
-        mb = m // bs
-        blocks: list[dict[int, np.ndarray]] = [dict() for _ in range(mb)]
-        for i in range(m):
-            bi, oi = divmod(i, bs)
-            cols, vals = csr.get_row(i)
-            for j, v in zip(cols, vals, strict=True):
-                bj, oj = divmod(int(j), bs)
-                block = blocks[bi].setdefault(bj, np.zeros((bs, bs)))
-                block[oi, oj] += v
-        browptr = np.zeros(mb + 1, dtype=np.int64)
-        bcolidx: list[int] = []
-        vals_list: list[np.ndarray] = []
-        for bi in range(mb):
-            cols_sorted = sorted(blocks[bi])
-            browptr[bi + 1] = browptr[bi] + len(cols_sorted)
-            bcolidx.extend(cols_sorted)
-            vals_list.extend(blocks[bi][bj] for bj in cols_sorted)
-        val = (
-            np.stack(vals_list)
-            if vals_list
-            else np.zeros((0, bs, bs), dtype=np.float64)
+        mb, nbc = m // bs, n // bs
+        rows = np.repeat(np.arange(m, dtype=np.int64), csr.row_lengths())
+        cols = csr.colidx.astype(np.int64)
+        # One key per (block row, block column); the sorted distinct keys
+        # are the stored blocks, block rows first.
+        keys, block = np.unique(
+            (rows // bs) * nbc + cols // bs, return_inverse=True
         )
-        return cls((m, n), bs, browptr, np.array(bcolidx, dtype=np.int32), val)
+        browptr = np.searchsorted(keys, np.arange(mb + 1, dtype=np.int64) * nbc)
+        # Each entry adds into its cell of its block, in storage order,
+        # onto 0.0 (so a lone -0.0 stores as +0.0, as ``zeros += v`` does).
+        cell = (block.reshape(-1) * bs + rows % bs) * bs + cols % bs
+        val = np.bincount(cell, weights=csr.val, minlength=keys.size * bs * bs)
+        return cls(
+            (m, n), bs, browptr, keys % max(nbc, 1),
+            val.astype(np.float64, copy=False).reshape(-1, bs, bs),
+        )
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -9,7 +9,8 @@ additional per-row length array so kernels can skip padded work.
 
 Storage is column-major (``order='F'``), matching the paper's description
 of elements stored "column by column" so that a vector register spans
-*rows*, not columns.
+*rows*, not columns.  Conversion from CSR is whole-array: every entry is
+scattered to ``(row, position in row)`` in one step.
 """
 
 from __future__ import annotations
@@ -61,15 +62,12 @@ class EllpackMat(Mat):
         m, n = csr.shape
         lengths = csr.row_lengths()
         width = int(lengths.max()) if m and csr.nnz else 0
+        rows, slot = row_positions(csr)
         val = np.zeros((m, width), order="F")
-        colidx = np.zeros((m, width), dtype=np.int32, order="F")
-        for i in range(m):
-            cols, vals = csr.get_row(i)
-            k = cols.shape[0]
-            val[i, :k] = vals
-            colidx[i, :k] = cols
-            pad_col = cols[-1] if k else 0
-            colidx[i, k:] = pad_col
+        colidx = np.empty((m, width), dtype=np.int32, order="F")
+        colidx[:] = padding_columns(csr)[:, None]
+        val[rows, slot] = csr.val
+        colidx[rows, slot] = csr.colidx
         return cls((m, n), val, colidx, lengths)
 
     @property
@@ -128,6 +126,26 @@ class EllpackMat(Mat):
     def memory_bytes(self) -> int:
         # Padded val (8B) + colidx (4B) slots, plus the rlen array (8B/row).
         return int(self.val.size * 12 + self.rlen.shape[0] * 8)
+
+
+def row_positions(csr: AijMat) -> tuple[np.ndarray, np.ndarray]:
+    """(row, position within the row) of every CSR entry, in storage order."""
+    lengths = csr.row_lengths()
+    rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), lengths)
+    slot = np.arange(csr.nnz, dtype=np.int64) - np.repeat(csr.rowptr[:-1], lengths)
+    return rows, slot
+
+
+def padding_columns(csr: AijMat, width: int | None = None) -> np.ndarray:
+    """Per row, the column of its last entry among the first ``width``
+    (all by default), or 0 for an empty row: the padding column."""
+    lengths = csr.row_lengths()
+    if width is not None:
+        lengths = np.minimum(lengths, width)
+    last = np.zeros(csr.shape[0], dtype=np.int32)
+    nonempty = lengths > 0
+    last[nonempty] = csr.colidx[(csr.rowptr[:-1] + lengths - 1)[nonempty]]
+    return last
 
 
 # ELLPACK and ELLPACK-R share the storage (EllpackMat always carries the

@@ -4,7 +4,9 @@ The GPU-era compromise: store the first ``K`` entries of each row in
 ELLPACK (regular, vectorizable) and spill the tail of unusually long rows
 into COO.  ``K`` defaults to a percentile of the row-length distribution so
 that a few outlier rows cannot inflate the padded width — the exact failure
-of pure ELLPACK the hybrid was invented to fix.
+of pure ELLPACK the hybrid was invented to fix.  The split is whole-array:
+entries at positions below ``K`` scatter into the ELLPACK part, the rest
+keep their storage order in the COO spill.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from .aij import AijMat
 from .base import Mat, register_format
 from .coo import CooMat
-from .ellpack import EllpackMat
+from .ellpack import EllpackMat, padding_columns, row_positions
 
 
 class HybridMat(Mat):
@@ -42,30 +44,20 @@ class HybridMat(Mat):
         if width < 0:
             raise ValueError("ELL width must be non-negative")
 
-        ell_width = max(width, 0)
-        val = np.zeros((m, ell_width), order="F")
-        colidx = np.zeros((m, ell_width), dtype=np.int32, order="F")
-        rlen = np.minimum(lengths, ell_width)
-        spill_rows: list[int] = []
-        spill_cols: list[int] = []
-        spill_vals: list[float] = []
-        for i in range(m):
-            cols, vals = csr.get_row(i)
-            k = min(cols.shape[0], ell_width)
-            val[i, :k] = vals[:k]
-            colidx[i, :k] = cols[:k]
-            colidx[i, k:] = cols[k - 1] if k else 0
-            if cols.shape[0] > ell_width:
-                tail = slice(ell_width, cols.shape[0])
-                spill_rows.extend([i] * (cols.shape[0] - ell_width))
-                spill_cols.extend(cols[tail].tolist())
-                spill_vals.extend(vals[tail].tolist())
-        ell = EllpackMat((m, n), val, colidx, rlen)
+        rows, slot = row_positions(csr)
+        in_ell = slot < width
+        val = np.zeros((m, width), order="F")
+        colidx = np.empty((m, width), dtype=np.int32, order="F")
+        colidx[:] = padding_columns(csr, width)[:, None]
+        val[rows[in_ell], slot[in_ell]] = csr.val[in_ell]
+        colidx[rows[in_ell], slot[in_ell]] = csr.colidx[in_ell]
+        ell = EllpackMat((m, n), val, colidx, np.minimum(lengths, width))
+        spill = ~in_ell
         coo = CooMat(
             (m, n),
-            np.array(spill_rows, dtype=np.int64),
-            np.array(spill_cols, dtype=np.int64),
-            np.array(spill_vals, dtype=np.float64),
+            rows[spill],
+            csr.colidx[spill].astype(np.int64),
+            csr.val[spill],
         )
         return cls(ell, coo)
 

@@ -17,6 +17,12 @@ point**, exactly as PETSc's DMDA preallocation stores it: each row carries
 the reaction coupling at off-center points.  That is the "each row has 10
 elements" matrix of Section 7, nnz = 10 * ndof, with natural 2x2 blocks —
 the matrix every figure of the paper measures.
+
+That pattern never changes during a run, so assembly is split like
+PETSc's preallocated ``MatSetValues``: :meth:`GrayScottProblem.jacobian_pattern`
+(the sort of the triplets into CSR order) is computed once per grid and
+kept, read-only, in the process-wide plan store; each Newton iteration
+only computes the values and gathers them into place.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mat.aij import AijMat
+from ..core.registry import PLANS, read_only
+from ..mat.aij import AijMat, CooPattern, coo_pattern
 from .grid import Grid2D
 from .stencil import FIVE_POINT, apply_laplacian
 
@@ -100,8 +107,11 @@ class GrayScottProblem:
         ``shift``/``scale`` implement PETSc's TSComputeIJacobian convention,
         so the Crank-Nicolson system matrix ``I/dt - 0.5 J_f`` assembles in
         one pass with the *same sparsity* at every Newton iteration — the
-        property that makes re-assembly cheap and lets the SELL conversion
-        reuse its slicing.
+        property that makes re-assembly cheap: only the values are
+        computed here, and they are gathered into the cached
+        :meth:`jacobian_pattern` (bitwise what ``AijMat.from_coo`` with
+        ``sum_duplicates=False`` builds).  The SELL conversion and the
+        multigrid Galerkin products reuse their plans for the same reason.
         """
         g, m = self.grid, self.model
         if w.shape != (g.ndof,):
@@ -113,46 +123,58 @@ class GrayScottProblem:
         if g.hx != g.hy:
             raise ValueError("assembly assumes square cells")
 
-        base = np.arange(p, dtype=np.int64) * 2
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        vals_parts: list[np.ndarray] = []
         zeros = np.zeros(p)
+        vals_parts: list[np.ndarray] = []
         for di, dj, wgt in FIVE_POINT:
-            nbr = g.shifted_points(di, dj) * 2
             lap = wgt / h2
             center = di == 0 and dj == 0
             # d f_u / d u: D1 * lap (+ reaction terms at the center)
             duu = m.d1 * lap * scale * np.ones(p)
             if center:
                 duu += scale * (-(v * v) - m.gamma) + shift
-            rows_parts.append(base)
-            cols_parts.append(nbr)
-            vals_parts.append(duu)
             # d f_u / d v: -2 u v at the center, structural zero elsewhere
             duv = scale * (-2.0 * u * v) if center else zeros
-            rows_parts.append(base)
-            cols_parts.append(nbr + 1)
-            vals_parts.append(duv)
             # d f_v / d u: v^2 at the center, structural zero elsewhere
             dvu = scale * (v * v) if center else zeros
-            rows_parts.append(base + 1)
-            cols_parts.append(nbr)
-            vals_parts.append(dvu)
             # d f_v / d v: D2 * lap (+ reaction terms at the center)
             dvv = m.d2 * lap * scale * np.ones(p)
             if center:
                 dvv += scale * (2.0 * u * v - (m.gamma + m.kappa)) + shift
-            rows_parts.append(base + 1)
-            cols_parts.append(nbr + 1)
-            vals_parts.append(dvv)
+            vals_parts += [duu, duv, dvu, dvv]
 
-        return AijMat.from_coo(
-            (g.ndof, g.ndof),
-            np.concatenate(rows_parts),
-            np.concatenate(cols_parts),
-            np.concatenate(vals_parts),
-            sum_duplicates=False,
+        pattern = self.jacobian_pattern()
+        vals = np.concatenate(vals_parts)[pattern.order]
+        return AijMat((g.ndof, g.ndof), pattern.rowptr, pattern.colidx, vals)
+
+    def jacobian_pattern(self) -> CooPattern:
+        """Where :meth:`jacobian`'s triplets land: its symbolic phase.
+
+        The pattern depends on the grid alone, so it is computed once per
+        grid and kept, read-only, in the plan store
+        (:data:`repro.core.registry.PLANS`); each assembly then gathers its
+        values into place.  Triplets come point-major, 5 stencil points x
+        the 2x2 block ``(uu, uv, vu, vv)``, duplicates kept (on a grid
+        narrower than the stencil they are stored in this order).
+        """
+        g = self.grid
+
+        def build() -> CooPattern:
+            base = np.arange(g.npoints, dtype=np.int64) * 2
+            rows: list[np.ndarray] = []
+            cols: list[np.ndarray] = []
+            for di, dj, _ in FIVE_POINT:
+                nbr = g.shifted_points(di, dj) * 2
+                rows += [base, base, base + 1, base + 1]
+                cols += [nbr, nbr + 1, nbr, nbr + 1]
+            pattern = coo_pattern(
+                (g.ndof, g.ndof), np.concatenate(rows), np.concatenate(cols),
+                sum_duplicates=False,
+            )
+            read_only(pattern.order, pattern.rowptr, pattern.colidx)
+            return pattern
+
+        return PLANS.get_or_compute(
+            "pattern", PLANS.pattern_key("gray-scott-jacobian", g), build
         )
 
     def jacobian_fd(self, w: np.ndarray, eps: float = 1.0e-7) -> np.ndarray:

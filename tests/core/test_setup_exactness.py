@@ -1,12 +1,19 @@
 """Exactness of the whole-array setup paths against their loop originals.
 
-Assembly (``AijMat.from_coo``), MatConvert (``SellMat.from_csr``), the SELL
-row map, the ESB bit array, ``SellMat.to_csr``, ``EllpackMat.to_csr``,
+Assembly (``AijMat.from_coo``), MatConvert (``SellMat.from_csr``,
+``EllpackMat.from_csr``, ``HybridMat.from_csr``, ``BaijMat.from_csr``), the
+SELL row map, the ESB bit array, ``SellMat.to_csr``, ``EllpackMat.to_csr``,
 ``BaijMat.to_csr``, MatGetDiagonal, ``permute_rows`` and ``to_dense`` used
 to be Python loops over rows, slices or blocks.  The loops are
 kept below as reference oracles, and every vectorized path must reproduce
 their arrays exactly — ``array_equal``, never a tolerance — over a
 hypothesis panel and a list of degenerate structures.
+
+The symbolic/numeric split is held to the same contract: a Galerkin
+product through a cached :class:`~repro.ksp.pc.mg.ProductPlan` equals the
+expand-and-``from_coo`` product it replaced, and a SELL conversion that
+reuses its structure's cached plan equals the loop conversion, whether the
+plan store hit or missed.
 
 Diagonals are held to a stricter contract than the oracle: for every
 format, ``diagonal()`` is bitwise equal to ``np.diag(to_dense())``.
@@ -18,10 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.esb import EsbMat
+from repro.core.registry import PLANS
 from repro.core.sell import SellMat
+from repro.ksp.pc.mg import csr_matmul
 from repro.mat.aij import AijMat
 from repro.mat.baij import BaijMat
 from repro.mat.ellpack import EllpackMat
+from repro.mat.hybrid import HybridMat
 
 # ----------------------------------------------------------------------
 # Reference oracles: the loop implementations the fast paths replaced.
@@ -222,6 +232,110 @@ def ref_baij_to_csr(baij):
     )
 
 
+def ref_ellpack_from_csr(csr):
+    """(val, colidx) of the per-row padding loop."""
+    m, n = csr.shape
+    lengths = csr.row_lengths()
+    width = int(lengths.max()) if m and csr.nnz else 0
+    val = np.zeros((m, width), order="F")
+    colidx = np.zeros((m, width), dtype=np.int32, order="F")
+    for i in range(m):
+        cols, vals = csr.get_row(i)
+        k = cols.shape[0]
+        val[i, :k] = vals
+        colidx[i, :k] = cols
+        pad_col = cols[-1] if k else 0
+        colidx[i, k:] = pad_col
+    return val, colidx
+
+
+def ref_hybrid_from_csr(csr, width):
+    """(val, colidx, rlen, spill rows, spill cols, spill vals) of the
+    per-row split loop at ELL width ``width``."""
+    m, n = csr.shape
+    lengths = csr.row_lengths()
+    ell_width = max(width, 0)
+    val = np.zeros((m, ell_width), order="F")
+    colidx = np.zeros((m, ell_width), dtype=np.int32, order="F")
+    rlen = np.minimum(lengths, ell_width)
+    spill_rows: list[int] = []
+    spill_cols: list[int] = []
+    spill_vals: list[float] = []
+    for i in range(m):
+        cols, vals = csr.get_row(i)
+        k = min(cols.shape[0], ell_width)
+        val[i, :k] = vals[:k]
+        colidx[i, :k] = cols[:k]
+        colidx[i, k:] = cols[k - 1] if k else 0
+        if cols.shape[0] > ell_width:
+            tail = slice(ell_width, cols.shape[0])
+            spill_rows.extend([i] * (cols.shape[0] - ell_width))
+            spill_cols.extend(cols[tail].tolist())
+            spill_vals.extend(vals[tail].tolist())
+    return (
+        val, colidx, rlen,
+        np.array(spill_rows, dtype=np.int64),
+        np.array(spill_cols, dtype=np.int64),
+        np.array(spill_vals, dtype=np.float64),
+    )
+
+
+def ref_baij_from_csr(csr, bs):
+    """(browptr, bcolidx, val) of the per-entry block accumulation loop."""
+    m, n = csr.shape
+    mb = m // bs
+    blocks: list[dict[int, np.ndarray]] = [dict() for _ in range(mb)]
+    for i in range(m):
+        bi, oi = divmod(i, bs)
+        cols, vals = csr.get_row(i)
+        for j, v in zip(cols, vals, strict=True):
+            bj, oj = divmod(int(j), bs)
+            block = blocks[bi].setdefault(bj, np.zeros((bs, bs)))
+            block[oi, oj] += v
+    browptr = np.zeros(mb + 1, dtype=np.int64)
+    bcolidx: list[int] = []
+    vals_list: list[np.ndarray] = []
+    for bi in range(mb):
+        cols_sorted = sorted(blocks[bi])
+        browptr[bi + 1] = browptr[bi] + len(cols_sorted)
+        bcolidx.extend(cols_sorted)
+        vals_list.extend(blocks[bi][bj] for bj in cols_sorted)
+    val = (
+        np.stack(vals_list)
+        if vals_list
+        else np.zeros((0, bs, bs), dtype=np.float64)
+    )
+    return browptr, np.array(bcolidx, dtype=np.int32), val
+
+
+def ref_csr_matmul(a, b):
+    """The expand-every-product and ``from_coo`` Galerkin product."""
+    ma, ka = a.shape
+    kb, nb = b.shape
+    if ka != kb:
+        raise ValueError(f"inner dimensions differ: {ka} vs {kb}")
+    if a.nnz == 0 or b.nnz == 0:
+        return AijMat.from_coo(
+            (ma, nb),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
+    a_rows = np.repeat(np.arange(ma, dtype=np.int64), a.row_lengths())
+    a_cols = a.colidx.astype(np.int64)
+    b_lengths = b.row_lengths()
+    reps = b_lengths[a_cols]
+    total = int(reps.sum())
+    starts = b.rowptr[a_cols]
+    cum = np.concatenate(([0], np.cumsum(reps)[:-1]))
+    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - cum, reps)
+    out_rows = np.repeat(a_rows, reps)
+    out_cols = b.colidx[flat].astype(np.int64)
+    out_vals = np.repeat(a.val, reps) * b.val[flat]
+    return AijMat.from_coo((ma, nb), out_rows, out_cols, out_vals,
+                           sum_duplicates=True)
+
+
 def ref_permute_rows(csr, perm):
     m, _ = csr.shape
     lengths = csr.row_lengths()[perm]
@@ -340,24 +454,45 @@ def assert_csr_arrays(mat, rowptr, colidx, val):
     assert np.array_equal(bits(mat.val), bits(val))
 
 
+def revalued(csr, seed):
+    """The same structure with new values (so a plan store must hit)."""
+    vals = np.random.default_rng(seed).standard_normal(csr.nnz)
+    return AijMat(csr.shape, csr.rowptr, csr.colidx, vals)
+
+
+def check_sell_conversion(csr, c, sigma):
+    """One conversion with the plan store forced to miss, against the oracles."""
+    PLANS.invalidate("sell", PLANS.sell_key(csr, c, sigma))
+    sell = SellMat.from_csr(csr, slice_height=c, sigma=sigma)
+    perm, sliceptr, val, colidx = ref_from_csr(csr, c, sigma)
+    label = f"C={c} sigma={sigma}"
+    if perm is None:
+        assert sell.perm is None, label
+    else:
+        assert np.array_equal(sell.perm, perm), label
+    assert np.array_equal(sell.sliceptr, sliceptr), label
+    assert np.array_equal(bits(sell.val), bits(val)), label
+    assert np.array_equal(sell.colidx, colidx), label
+    assert np.array_equal(sell.row_map, ref_row_map(sell)), label
+    assert_csr_arrays(sell.to_csr(), *ref_sell_to_csr(sell))
+    assert np.array_equal(sell.diagonal(), ref_sell_diagonal(sell)), label
+    assert np.array_equal(
+        bits(sell.diagonal()), bits(np.diag(sell.to_dense()))
+    ), label
+
+
 def check_sell_paths(csr):
     for c, sigma in sell_params(csr.shape[0]):
-        sell = SellMat.from_csr(csr, slice_height=c, sigma=sigma)
-        perm, sliceptr, val, colidx = ref_from_csr(csr, c, sigma)
-        label = f"C={c} sigma={sigma}"
-        if perm is None:
-            assert sell.perm is None, label
-        else:
-            assert np.array_equal(sell.perm, perm), label
-        assert np.array_equal(sell.sliceptr, sliceptr), label
-        assert np.array_equal(bits(sell.val), bits(val)), label
-        assert np.array_equal(sell.colidx, colidx), label
-        assert np.array_equal(sell.row_map, ref_row_map(sell)), label
-        assert_csr_arrays(sell.to_csr(), *ref_sell_to_csr(sell))
-        assert np.array_equal(sell.diagonal(), ref_sell_diagonal(sell)), label
-        assert np.array_equal(
-            bits(sell.diagonal()), bits(np.diag(sell.to_dense()))
-        ), label
+        check_sell_conversion(csr, c, sigma)
+        # A second conversion of the structure reuses the cached plan.
+        hits = PLANS.stats()["hits"].get("sell", 0)
+        twin = revalued(csr, c + sigma)
+        sell = SellMat.from_csr(twin, slice_height=c, sigma=sigma)
+        assert PLANS.stats()["hits"].get("sell", 0) == hits + 1
+        perm, sliceptr, val, colidx = ref_from_csr(twin, c, sigma)
+        assert np.array_equal(bits(sell.val), bits(val))
+        assert np.array_equal(sell.colidx, colidx)
+        assert sell.to_csr() is sell.to_csr()
 
 
 def check_esb_bits(csr):
@@ -368,13 +503,32 @@ def check_esb_bits(csr):
 
 def check_other_format_paths(csr):
     ell = EllpackMat.from_csr(csr)
+    val, colidx = ref_ellpack_from_csr(csr)
+    assert np.array_equal(bits(ell.val), bits(val))
+    assert np.array_equal(ell.colidx, colidx)
     back = ref_ellpack_to_csr(ell)
     assert_csr_arrays(ell.to_csr(), back.rowptr, back.colidx, back.val)
+    lengths = csr.row_lengths()
+    # Padding needs a column to point at, so a 0-column matrix has width 0.
+    widths = {0, 1, 2, int(lengths.max())} if csr.shape[1] and lengths.size else {0}
+    for width in sorted(widths):
+        hyb = HybridMat.from_csr(csr, width=width)
+        val, colidx, rlen, rows, cols, vals = ref_hybrid_from_csr(csr, width)
+        assert np.array_equal(bits(hyb.ell.val), bits(val)), width
+        assert np.array_equal(hyb.ell.colidx, colidx), width
+        assert np.array_equal(hyb.ell.rlen, rlen), width
+        assert np.array_equal(hyb.coo.rows, rows), width
+        assert np.array_equal(hyb.coo.cols, cols), width
+        assert np.array_equal(bits(hyb.coo.vals), bits(vals)), width
     m, n = csr.shape
     for bs in (1, 2, 3):
         if m % bs or n % bs:
             continue
         baij = BaijMat.from_csr(csr, bs)
+        browptr, bcolidx, val = ref_baij_from_csr(csr, bs)
+        assert np.array_equal(baij.browptr, browptr), bs
+        assert np.array_equal(baij.bcolidx, bcolidx), bs
+        assert np.array_equal(bits(baij.val), bits(val)), bs
         back = ref_baij_to_csr(baij)
         assert_csr_arrays(baij.to_csr(), back.rowptr, back.colidx, back.val)
     check_esb_bits(csr)
@@ -449,3 +603,92 @@ def test_from_coo_rejects_out_of_range_indices(row, col):
     cols = np.array([2, col])
     with pytest.raises(IndexError):
         AijMat.from_coo((2, 3), rows, cols, np.ones(2))
+
+
+# ----------------------------------------------------------------------
+# Galerkin products: symbolic plan once, numeric phase per call
+# ----------------------------------------------------------------------
+
+
+def random_csr(m, n, count, seed, shuffle=False):
+    """Triplets summed into CSR, with explicit zeros, -0.0 and values
+    spread over 60 orders of magnitude; optionally unsorted rows."""
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = coo_triplets(m, n, count, seed, negative_zeros=True)
+    vals = vals * 10.0 ** rng.integers(-30, 30, vals.size)
+    vals[rng.random(vals.size) < 0.1] = 0.0
+    csr = AijMat.from_coo((m, n), rows, cols, vals)
+    if shuffle and csr.nnz:
+        rows_of = np.repeat(np.arange(m), csr.row_lengths())
+        order = np.lexsort((rng.random(csr.nnz), rows_of))
+        csr = AijMat((m, n), csr.rowptr, csr.colidx[order], csr.val[order])
+    return csr
+
+
+@st.composite
+def product_panel(draw, max_dim=14):
+    """A conforming chain of two or three CSR factors."""
+    dims = draw(st.lists(st.integers(0, max_dim), min_size=3, max_size=4))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return [
+        random_csr(m, n, draw(st.integers(0, 3 * max_dim)), seed + k,
+                   shuffle=draw(st.booleans()))
+        for k, (m, n) in enumerate(zip(dims, dims[1:], strict=False))
+    ]
+
+
+def ref_chain(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = ref_csr_matmul(out, f)
+    return out
+
+
+def check_product(factors):
+    """A planned product (store forced to miss, then hit with new values)
+    equals the oracle chain array for array."""
+    PLANS.invalidate("matmat", PLANS.matmat_key(*factors))
+    ref = ref_chain(factors)
+    assert_csr_arrays(csr_matmul(*factors), ref.rowptr, ref.colidx, ref.val)
+    hits = PLANS.stats()["hits"].get("matmat", 0)
+    twins = [revalued(f, k) for k, f in enumerate(factors)]
+    ref = ref_chain(twins)
+    assert_csr_arrays(csr_matmul(*twins), ref.rowptr, ref.colidx, ref.val)
+    assert PLANS.stats()["hits"].get("matmat", 0) == hits + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=product_panel())
+def test_planned_product_matches_the_expand_and_assemble_oracle(factors):
+    check_product(factors)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_planned_product_on_degenerate_structures(name):
+    d = DEGENERATE[name]
+    m, n = d.shape
+    for k in (0, 1, 4):
+        check_product([d, random_csr(n, k, 3 * n, seed=k)])
+        check_product([random_csr(k, m, 3 * m, seed=k), d])
+        check_product([random_csr(k, m, 3 * m, seed=k), d, random_csr(n, k, 3 * n, seed=k)])
+    check_product([d, AijMat.from_coo((n, 2), [], [], [])])
+
+
+def test_planned_product_on_the_gray_scott_operator(gray_scott_small):
+    from repro.ksp.pc.mg import grid_transfers
+    from repro.pde.grid import Grid2D
+
+    p, r = grid_transfers(Grid2D(4, 4, dof=2), Grid2D(8, 8, dof=2))
+    check_product([r, gray_scott_small, p])
+    check_product([r, gray_scott_small])
+
+
+def test_a_changed_structure_misses_the_plan_store():
+    a = random_csr(6, 5, 12, seed=1)
+    b = random_csr(5, 4, 10, seed=2)
+    csr_matmul(a, b)
+    misses = PLANS.stats()["misses"].get("matmat", 0)
+    c = random_csr(5, 4, 10, seed=3)  # same shape, other pattern
+    ref = ref_csr_matmul(a, c)
+    assert_csr_arrays(csr_matmul(a, c), ref.rowptr, ref.colidx, ref.val)
+    assert PLANS.stats()["misses"].get("matmat", 0) == misses + 1

@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.core.registry import PLANS
+from repro.core.sell import SellMat
 from repro.ksp.gmres import GMRES
 from repro.ksp.pc.mg import (
     MGPC,
     bilinear_prolongation,
     csr_matmul,
     full_weighting_restriction,
+    grid_transfers,
 )
+from repro.ksp.ts import ThetaMethod
+from repro.pde.grayscott import GrayScottProblem
 from repro.mat.aij import AijMat
 from repro.pde.grid import Grid2D
 from repro.pde.problems import spd_laplacian
@@ -50,10 +55,13 @@ class TestCsrMatmul:
         assert csr_matmul(a, empty).nnz == 0
 
     def test_identity_is_neutral(self):
+        """Every product with I is one exact multiply by 1.0 added onto 0.0."""
         a = make_random_csr(6, density=0.4, seed=3)
         eye = AijMat.from_dense(np.eye(6))
-        assert csr_matmul(a, eye).equal(a, tol=1e-14)
-        assert csr_matmul(eye, a).equal(a, tol=1e-14)
+        for c in (csr_matmul(a, eye), csr_matmul(eye, a), csr_matmul(eye, a, eye)):
+            assert np.array_equal(c.rowptr, a.rowptr)
+            assert np.array_equal(c.colidx, a.colidx)
+            assert np.array_equal(c.val, a.val)
 
 
 class TestTransfers:
@@ -183,3 +191,56 @@ class TestMGCycle:
         result = GMRES(rtol=1e-8, pc=pc).solve(counting, b)
         assert result.reason.converged
         assert counting.matvecs > 0
+
+
+class TestSymbolicReuse:
+    """Setup reuses one plan per structure across Newton steps."""
+
+    def test_transfers_are_built_once_per_grid_pair_and_read_only(self):
+        coarse, fine = Grid2D(4, 4, dof=2), Grid2D(8, 8, dof=2)
+        p, r = grid_transfers(coarse, fine)
+        assert grid_transfers(coarse, fine)[0] is p
+        assert p.equal(bilinear_prolongation(coarse, fine))
+        assert r.equal(full_weighting_restriction(bilinear_prolongation(coarse, fine)))
+        with pytest.raises(ValueError):
+            r.val *= 2.0
+
+    def test_phases_are_logged_with_petsc_event_names(self):
+        from repro.obs.observer import observing
+
+        a = make_random_csr(7, 5, density=0.4, seed=11)
+        b = make_random_csr(5, 6, density=0.4, seed=12)
+        PLANS.invalidate("matmat", PLANS.matmat_key(a, b))
+        with observing() as obs:
+            csr_matmul(a, b)
+            csr_matmul(a, b)
+        names = [e["name"] for e in obs.trace.events if e["ph"] == "B"]
+        assert names.count("MatMatMultSymbolic") == 1
+        assert names.count("MatMatMultNumeric") == 2
+
+    def test_store_size_is_constant_after_the_first_newton_step(self):
+        grid = Grid2D(16, 16, dof=2)
+        problem = GrayScottProblem(grid)
+        sizes = []
+
+        def jacobian(w, shift, scale):
+            sizes.append(PLANS.size())
+            return problem.jacobian(w, shift, scale)
+
+        ts = ThetaMethod(
+            rhs=problem.rhs,
+            jacobian=jacobian,
+            ksp_factory=lambda: GMRES(pc=MGPC(grids=grid.hierarchy(3)), rtol=1e-8),
+            operator_wrapper=lambda m: SellMat.from_csr(m.to_csr(), 8),
+            theta=0.5,
+            dt=1.0,
+        )
+        PLANS.clear()
+        ts.integrate(problem.initial_state(), 8, keep_states=False)
+        assert len(sizes) > 8
+        # Jacobian pattern, SELL plan, two transfers, two Galerkin plans.
+        assert sizes[0] == 0
+        assert set(sizes[1:]) == {6}
+        assert PLANS.size() == 6
+        misses = PLANS.stats()["misses"]
+        assert misses == {"matmat": 2, "pattern": 1, "sell": 1, "transfer": 2}
