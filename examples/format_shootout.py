@@ -5,16 +5,17 @@ A downstream-user scenario: you have a matrix — one of the gallery
 generators, or any Matrix Market ``.mtx`` file — and want to know
 (a) which format/ISA combination the calibrated KNL model favours,
 (b) how the padding economics look, (c) whether sigma-sorting would pay,
-and (d) what the SELL autotuner recommends.  This exercises the format
-zoo, the measurement API, Matrix Market I/O, and the tuning machinery on
-matrices very unlike the paper's friendly banded operator.
+and (d) which slice height and sorting scope the autotuner picks.  This
+exercises the format zoo, Matrix Market I/O, and the one tuning sweep
+(``ExecutionContext.best_plan``) on matrices very unlike the paper's
+friendly banded operator.
 
 Run:  python examples/format_shootout.py [gray-scott|irregular|tridiag|nine-point|/path/to/matrix.mtx]
 """
 
 import sys
 
-from repro import FIGURE8_VARIANTS, measure, predict
+from repro import FIGURE8_VARIANTS, ExecutionContext
 from repro.core.sell import SellMat
 from repro.machine import KNL_7230, make_model
 from repro.mat.sparsity import profile, sliced_padding
@@ -70,29 +71,36 @@ def main() -> None:
         print(f"  sigma={sigma:<4d}          : {pad}")
     print()
 
-    # Model every Figure 8 variant on a full KNL node.
-    model = make_model(KNL_7230)
-    print(f"{'variant':22s} {'Gflop/s':>8s}  bound")
-    results = []
-    for variant in FIGURE8_VARIANTS:
-        meas = measure(variant, csr)
-        perf = predict(meas, model, nprocs=64)
-        results.append((perf.gflops, variant.name, perf.bound))
-        print(f"{variant.name:22s} {perf.gflops:8.1f}  {perf.bound}")
-    best = max(results)
-    print(f"\nrecommended: {best[1]} ({best[0]:.1f} Gflop/s)")
+    # One autotune sweep on a full KNL node: every Figure 8 variant, with
+    # the SELL kernels also swept over slice height and sorting scope
+    # (scopes that are not a multiple of C are skipped).
+    ctx = ExecutionContext(model=make_model(KNL_7230), nprocs=64)
+    sigmas = tuple(s for s in (1, 32, 64, 128, 256, 512) if s <= p.rows)
+    plan = ctx.best_plan(
+        csr, candidates=FIGURE8_VARIANTS, slice_heights=(8, 16), sigmas=sigmas
+    )
+    print(f"{'variant':22s} {'Gflop/s':>8s}  bound  (paper's C=8, sigma=1)")
+    default = {}
+    for row in plan.sweep:
+        if (row.slice_height, row.sigma) != (8, 1):
+            continue
+        default[row.variant.name] = row
+        meas = ctx.measure(row.variant, csr)  # a memo hit of the sweep
+        print(f"{row.variant.name:22s} {row.gflops:8.1f}  "
+              f"{ctx.predict(meas).bound}")
 
-    # Let the autotuner pick SELL parameters for this structure.
-    from repro.core.autotune import tune_sell
-
-    tuned = tune_sell(csr, model, nprocs=64)
-    print(f"\nSELL autotuner: best {tuned.best.label} "
-          f"({tuned.best.gflops:.1f} Gflop/s, padding "
-          f"{100 * tuned.best.padding_fraction:.1f}%)", end="")
-    default = tuned.paper_default
-    if default is not None and tuned.best.gflops > 1.05 * default.gflops:
-        print(f" -- {tuned.best.gflops / default.gflops:.2f}x over the "
-              f"paper's C=8/sigma=1 default on this matrix")
+    print(f"\nautotuner: {plan.variant.name} at C={plan.slice_height}, "
+          f"sigma={plan.sigma} ({plan.gflops:.1f} Gflop/s", end="")
+    if plan.variant.fmt == "SELL":
+        tuned = ctx.measure(
+            plan.variant, csr, slice_height=plan.slice_height, sigma=plan.sigma
+        ).mat
+        print(f", padding {100 * tuned.padding_fraction:.1f}%", end="")
+    print(")", end="")
+    paper = default[plan.variant.name]
+    if plan.gflops > 1.05 * paper.gflops:
+        print(f" -- {plan.gflops / paper.gflops:.2f}x over the paper's "
+              "C=8/sigma=1 default on this matrix")
     else:
         print(" -- the paper's C=8/sigma=1 default stands")
 

@@ -179,7 +179,7 @@ def analyze_all(
 
     Variants whose format conversion rejects a structure (e.g. BAIJ on
     dimensions that don't block evenly) are skipped for that structure,
-    matching :meth:`ExecutionContext.best_variant`'s sweep semantics.
+    matching :meth:`ExecutionContext.best_plan`'s sweep semantics.
     """
     if variants is None:
         variants = registered_variants()

@@ -1,10 +1,10 @@
 """Format shootout: the (format, sigma, block shape, ISA) frontier.
 
-``python -m repro.bench.format_shootout`` sweeps the enlarged knob space
-the autotuner searches — SELL-C-sigma sorting scopes, beta(r,c) block
-shapes, and both modeled vector ISAs (AVX-512 on KNL, SVE on A64FX) —
-over five structure families chosen so each format's argument gets a
-fair fight and a fair failure:
+``python -m repro.bench.format_shootout`` runs the autotuner
+(:meth:`ExecutionContext.best_plan`) over its enlarged knob space —
+SELL-C-sigma sorting scopes, beta(r,c) block shapes, and both modeled
+vector ISAs (AVX-512 on KNL, SVE on A64FX) — on five structure families
+chosen so each format's argument gets a fair fight and a fair failure:
 
 * ``stencil`` — the paper's Gray-Scott operator: regular 10-nnz rows,
   SELL's home turf;
@@ -27,16 +27,14 @@ candidates, exactly like a single-core microbenchmark on hardware.
 
 The JSON record (``BENCH_format_shootout.json``) carries every swept
 entry (gflops, padded flops, analytic traffic, resident format bytes)
-plus per-family winners.  Three gates turn the build red:
+plus per-family winners — the plans themselves.  Two gates turn the
+build red:
 
 * ``sigma_sorting_pays_on_long_tail`` — the best SELL-C-sigma
   configuration with ``sigma > 1`` must beat ``sigma = 1`` on the
   long-tail family (the ISSUE acceptance criterion);
 * ``beta_executes_no_padding`` — every beta(r,c) measurement must report
-  exactly zero ``padded_flops``, the format's defining claim;
-* ``plans_match_sweep`` — :meth:`ExecutionContext.best_plan` over the
-  same candidates and knobs must pick each family's sweep winner, so
-  the autotuner and the bench can never silently disagree.
+  exactly zero ``padded_flops``, the format's defining claim.
 """
 
 from __future__ import annotations
@@ -46,22 +44,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.context import ExecutionContext
+from ..core.context import ExecutionContext, FormatPlan
 from ..core.dispatch import get_variant
 from ..machine.perf_model import make_model
 from ..machine.specs import A64FX, KNL_7230
 from ..mat.aij import AijMat
 from ..pde.problems import gray_scott_jacobian, irregular_rows, tridiagonal
 
-#: SELL sorting scopes swept per sigma-sensitive format (rows; 1 = unsorted).
+#: SELL sorting scopes swept for formats declaring sigma (rows; 1 = unsorted).
 SIGMAS: tuple[int, ...] = (1, 16, 64)
 
 #: beta(r,c) block shapes swept (r rows x c anchor columns, r*c <= 64).
 BLOCK_SHAPES: tuple[tuple[int, int], ...] = ((1, 4), (2, 4), (4, 4), (2, 8))
-
-#: Formats whose converter consumes ``sigma``; everything else is measured
-#: once at sigma = 1 instead of re-measuring an identical kernel per scope.
-SIGMA_FORMATS = frozenset({"SELL", "ESB"})
 
 #: Candidate variants per machine, filtered by the spec's ISA set.
 CANDIDATE_NAMES: tuple[str, ...] = (
@@ -182,41 +176,41 @@ def _contexts() -> dict[str, ExecutionContext]:
     }
 
 
+def _entry(
+    ctx: ExecutionContext, machine: str, family: str, csr: AijMat,
+    row: FormatPlan,
+) -> ShootoutEntry:
+    """One priced sweep row, with the counters of its (memoized) measurement."""
+    meas = ctx.measure(
+        row.variant, csr, slice_height=row.slice_height, sigma=row.sigma,
+        block_shape=row.block_shape,
+    )
+    return ShootoutEntry(
+        machine=machine,
+        family=family,
+        variant=row.variant.name,
+        isa=row.variant.isa.name,
+        sigma=row.sigma,
+        block_shape=row.block_shape,
+        gflops=row.gflops,
+        padded_flops=int(meas.counters.padded_flops),
+        traffic_bytes=int(meas.traffic.total_bytes),
+        memory_bytes=int(meas.mat.memory_bytes()),
+    )
+
+
 def _sweep_family(
     ctx: ExecutionContext, machine: str, family: str, csr: AijMat
-) -> list[ShootoutEntry]:
-    """Measure every admissible (variant, sigma, block shape) knob point."""
-    entries: list[ShootoutEntry] = []
-    for name in CANDIDATE_NAMES:
-        variant = get_variant(name)
-        if not ctx.supports(variant):
-            continue
-        sigmas = SIGMAS if variant.fmt in SIGMA_FORMATS else (1,)
-        shapes: tuple[tuple[int, int] | None, ...] = (
-            BLOCK_SHAPES if variant.fmt == "BETA" else (None,)
-        )
-        for sigma in sigmas:
-            for shape in shapes:
-                try:
-                    meas = ctx.measure(
-                        variant, csr, sigma=sigma, block_shape=shape
-                    )
-                except (ValueError, NotImplementedError):
-                    continue  # the format rejects this structure/knob
-                perf = ctx.predict(meas)
-                entries.append(ShootoutEntry(
-                    machine=machine,
-                    family=family,
-                    variant=name,
-                    isa=variant.isa.name,
-                    sigma=sigma,
-                    block_shape=shape,
-                    gflops=perf.gflops,
-                    padded_flops=int(meas.counters.padded_flops),
-                    traffic_bytes=int(meas.traffic.total_bytes),
-                    memory_bytes=int(meas.mat.memory_bytes()),
-                ))
-    return entries
+) -> tuple[list[ShootoutEntry], ShootoutEntry]:
+    """Every priced (variant, sigma, block shape) point, and the winner."""
+    pool = tuple(
+        v for v in map(get_variant, CANDIDATE_NAMES) if ctx.supports(v)
+    )
+    plan = ctx.best_plan(
+        csr, candidates=pool, sigmas=SIGMAS, block_shapes=BLOCK_SHAPES
+    )
+    entries = [_entry(ctx, machine, family, csr, row) for row in plan.sweep]
+    return entries, _entry(ctx, machine, family, csr, plan)
 
 
 def _gate_sigma_sorting(entries: list[ShootoutEntry]) -> dict:
@@ -253,68 +247,20 @@ def _gate_beta_padding(entries: list[ShootoutEntry]) -> dict:
     }
 
 
-def _gate_plans(
-    contexts: dict[str, ExecutionContext],
-    mats: dict[str, AijMat],
-    winners: dict[tuple[str, str], ShootoutEntry],
-) -> dict:
-    """best_plan over the same knobs must agree with each sweep winner."""
-    mismatches = []
-    for (machine, family), won in winners.items():
-        ctx = contexts[machine]
-        pool = tuple(
-            v for v in (get_variant(n) for n in CANDIDATE_NAMES)
-            if ctx.supports(v)
-        )
-        plan = ctx.best_plan(
-            mats[family], candidates=pool,
-            sigmas=SIGMAS, block_shapes=BLOCK_SHAPES,
-        )
-        if (
-            plan.variant.name != won.variant
-            or abs(plan.gflops - won.gflops) > 1e-9 * max(1.0, won.gflops)
-        ):
-            mismatches.append({
-                "machine": machine,
-                "family": family,
-                "sweep": won.as_dict(),
-                "plan": {
-                    "variant": plan.variant.name,
-                    "sigma": plan.sigma,
-                    "block_shape": (
-                        list(plan.block_shape) if plan.block_shape else None
-                    ),
-                    "gflops": plan.gflops,
-                },
-            })
-    return {
-        "gate": "plans_match_sweep",
-        "checked": len(winners),
-        "mismatches": mismatches,
-        "ok": not mismatches,
-    }
-
-
 def run_shootout() -> dict:
     """Run the full sweep and assemble the JSON-ready record."""
     contexts = _contexts()
     mats = families()
     entries: list[ShootoutEntry] = []
+    winners: dict[tuple[str, str], ShootoutEntry] = {}
     for machine, ctx in contexts.items():
         for family, csr in mats.items():
-            entries.extend(_sweep_family(ctx, machine, family, csr))
+            swept, winners[machine, family] = _sweep_family(
+                ctx, machine, family, csr
+            )
+            entries.extend(swept)
 
-    winners: dict[tuple[str, str], ShootoutEntry] = {}
-    for e in entries:
-        key = (e.machine, e.family)
-        if key not in winners or e.gflops > winners[key].gflops:
-            winners[key] = e
-
-    gates = [
-        _gate_sigma_sorting(entries),
-        _gate_beta_padding(entries),
-        _gate_plans(contexts, mats, winners),
-    ]
+    gates = [_gate_sigma_sorting(entries), _gate_beta_padding(entries)]
     return {
         "bench": "format_shootout",
         "machines": {

@@ -12,7 +12,6 @@ from .analytic import (
     predict_csr_counters,
     predict_sell_counters,
 )
-from .autotune import TuneCandidate, TuneResult, tune_sell
 from .context import ExecutionContext
 from .esb import EsbMat
 from .kernels_baij import simd_efficiency, spmv_baij
@@ -99,8 +98,6 @@ __all__ = [
     "SignatureRegistry",
     "SellTriangular",
     "SpmvMeasurement",
-    "TuneCandidate",
-    "TuneResult",
     "TrafficEstimate",
     "counters_match",
     "csr_traffic",
@@ -133,5 +130,4 @@ __all__ = [
     "spmv_sell_esb",
     "spmv_sell_transpose",
     "traffic_for",
-    "tune_sell",
 ]

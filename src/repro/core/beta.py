@@ -216,14 +216,9 @@ class BetaMat(Mat):
         return float(self.nnz) / slots if slots else 1.0
 
 
-@register_format("BETA", block_shape=True)
+@register_format("BETA", knobs=("block_shape",))
 def _beta_from_csr(
-    csr: AijMat,
-    *,
-    slice_height: int = 8,
-    sigma: int = 1,
-    block_shape: tuple[int, int] = DEFAULT_BLOCK_SHAPE,
+    csr: AijMat, *, block_shape: tuple[int, int] = DEFAULT_BLOCK_SHAPE
 ) -> BetaMat:
-    """β(r,c) ignores the SELL knobs; ``block_shape`` picks (r, c)."""
-    del slice_height, sigma
+    """``block_shape`` picks β's (r, c)."""
     return BetaMat.from_csr(csr, block_shape=block_shape)

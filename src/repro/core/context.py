@@ -12,9 +12,9 @@ once and becomes the object callers hand around:
   under the context's policy, memoized per (variant, configuration,
   matrix);
 * ``ctx.predict(meas)`` — price a measurement on the context's machine;
-* ``ctx.best_plan(csr)`` / ``ctx.best_variant(csr)`` / ``ctx.tune(csr)``
-  — inspector-executor style format selection and parameter tuning over
-  the full (format, sigma, block shape, ISA) knob space, memoized per
+* ``ctx.best_plan(csr)`` / ``ctx.best_variant(csr)`` — inspector-executor
+  style format selection and parameter tuning over the full (format, C,
+  sigma, block shape, ISA) knob space, memoized per
   sparsity signature (:func:`repro.mat.sparsity.signature`), so repeated
   solves on the same stencil never re-sweep;
 * ``ctx.reformat(csr)`` — convert an assembled operator to the context's
@@ -29,7 +29,8 @@ depend only on the kernel and the matrix, never on the machine model.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,12 +47,11 @@ from ..machine.perf_model import (
 )
 from ..machine.specs import KNL_7230, ProcessorSpec
 from ..mat.aij import AijMat
-from ..mat.base import BLOCK_SHAPE_FORMATS, Mat
+from ..mat.base import Mat
 from ..obs.observer import active_observer, obs_counter, obs_event
 from ..simd.engine import AlignmentFault, SimdEngine
 from ..simd.isa import Isa, get_isa
 from ..simd.counters import KernelCounters
-from .autotune import TuneResult, tune_sell
 from .dispatch import ALL_VARIANTS, KernelVariant, get_variant
 from .registry import SignatureRegistry
 from .spmv import SpmvMeasurement
@@ -83,10 +83,16 @@ class FormatPlan:
 
     What :meth:`ExecutionContext.best_plan` returns and
     :meth:`ExecutionContext.reformat` consumes.  Once the search space
-    spans sorting scopes and block shapes, the variant alone is not a
-    complete decision, so the plan carries every knob the winning
-    measurement was taken at.  ``block_shape`` is ``None`` for formats
-    outside :data:`repro.mat.base.BLOCK_SHAPE_FORMATS`.
+    spans slice heights, sorting scopes and block shapes, the variant
+    alone is not a complete decision, so the plan carries every knob the
+    winning measurement was taken at.  A SELL knob the variant's format
+    does not declare reads the context's value; ``block_shape`` is
+    ``None`` for formats without it.
+
+    ``sweep`` holds one plan per priced candidate, in sweep order; the
+    winner equals its own row (plans compare by decision, not by sweep).
+    Rows carry no arrays: the counters of a row are
+    ``ctx.measure(row.variant, csr, ...)`` at its knobs, a memo hit.
     """
 
     variant: KernelVariant
@@ -94,6 +100,9 @@ class FormatPlan:
     sigma: int
     block_shape: tuple[int, int] | None
     gflops: float
+    sweep: tuple["FormatPlan", ...] = field(
+        default=(), repr=False, compare=False
+    )
 
 
 @dataclass
@@ -120,9 +129,9 @@ class ExecutionContext:
         measurements made through this context.
     block_shape:
         Default β(r,c) block dimensions for conversions to block-masked
-        formats (:data:`repro.mat.base.BLOCK_SHAPE_FORMATS`).  Ignored —
-        and normalized to ``None`` in every cache key — for all other
-        formats, so SELL/CSR-family keys are unaffected by the knob.
+        formats.  Like every knob, it is passed only to formats that
+        declare it (:func:`repro.mat.base.register_format`) and is
+        ``None`` in every other format's cache keys.
     default_variant:
         When set (a variant or legend name), :meth:`reformat` uses it
         unconditionally; when ``None`` the autotuned
@@ -171,7 +180,7 @@ class ExecutionContext:
     #: stays at one per sparsity signature across repeated solves.
     autotune_sweeps: int = field(default=0, repr=False, compare=False)
 
-    #: The memoization store: every cache the context owns (measure/tune/
+    #: The memoization store: every cache the context owns (measure and
     #: best memos, prepared formats, default inputs, verifier verdicts)
     #: lives in this shared, concurrency-safe
     #: :class:`~repro.core.registry.SignatureRegistry`.  A fresh context
@@ -228,20 +237,28 @@ class ExecutionContext:
             strict_alignment=self.strict_alignment,
         )
 
-    def _block_shape_for(
+    def _knobs(
         self,
         variant: KernelVariant,
+        slice_height: int | None = None,
+        sigma: int | None = None,
         block_shape: tuple[int, int] | None = None,
-    ) -> tuple[int, int] | None:
-        """The effective β block shape for a variant (``None`` off-format).
+    ) -> tuple:
+        """The (C, sigma, block shape) a variant runs at.
 
-        Normalizing to ``None`` for formats without the knob keeps every
-        SELL/CSR-family cache key identical to what it was before the
-        knob existed.
+        Each knob its format declares is the one given or else the
+        context's; the others are ``None``, so no cache key splits on a
+        knob the converter ignores.
         """
-        if variant.fmt not in BLOCK_SHAPE_FORMATS:
-            return None
-        return self.block_shape if block_shape is None else block_shape
+        declared = variant.knobs
+        return (
+            (self.slice_height if slice_height is None else slice_height)
+            if "slice_height" in declared else None,
+            (self.sigma if sigma is None else sigma)
+            if "sigma" in declared else None,
+            (self.block_shape if block_shape is None else block_shape)
+            if "block_shape" in declared else None,
+        )
 
     def measure(
         self,
@@ -257,16 +274,15 @@ class ExecutionContext:
         The kernel runs on the interpreted engine — the one execution
         path — so ``y`` and the instruction counters are exact.
         ``slice_height``/``sigma``/``block_shape`` default to the
-        context's.  Calls with the default input vector are memoized —
-        keyed by the variant, the configuration, and a value-inclusive
-        matrix signature — so figure harnesses and repeated tuner sweeps
-        share one engine execution.
+        context's, and only those the variant's format declares count.
+        Calls with the default input vector are memoized — keyed by the
+        variant, the declared knobs, and a value-inclusive matrix
+        signature — so figure harnesses and repeated tuner sweeps share
+        one engine execution.
         """
         if isinstance(variant, str):
             variant = get_variant(variant)
-        c = self.slice_height if slice_height is None else slice_height
-        s = self.sigma if sigma is None else sigma
-        bs = self._block_shape_for(variant, block_shape)
+        c, s, bs = self._knobs(variant, slice_height, sigma, block_shape)
         if x is not None:
             return self._measure_once(variant, csr, x, c, s, bs)
         key = SignatureRegistry.measure_key(
@@ -288,8 +304,8 @@ class ExecutionContext:
         variant: KernelVariant,
         csr: AijMat,
         x: np.ndarray | None,
-        slice_height: int,
-        sigma: int,
+        slice_height: int | None,
+        sigma: int | None,
         block_shape: tuple[int, int] | None = None,
     ) -> SpmvMeasurement:
         mat = self._prepared(variant, csr, slice_height, sigma, block_shape)
@@ -313,8 +329,8 @@ class ExecutionContext:
         self,
         variant: KernelVariant,
         csr: AijMat,
-        slice_height: int,
-        sigma: int,
+        slice_height: int | None,
+        sigma: int | None,
         block_shape: tuple[int, int] | None = None,
     ) -> Mat:
         """Format conversion, memoized per (format, knobs, matrix values).
@@ -416,11 +432,12 @@ class ExecutionContext:
         csr: AijMat,
         sigma: int | None = None,
         block_shape: tuple[int, int] | None = None,
+        slice_height: int | None = None,
     ):
         """Statically verify ``variant`` on ``csr``; an ``AnalysisReport``.
 
         Records one execution under the context's execution policy
-        (``slice_height``/``strict_alignment``, and ``sigma``/
+        (``strict_alignment``, and ``slice_height``/``sigma``/
         ``block_shape`` unless given) and runs the full
         :mod:`repro.analysis` lint over the trace — including the
         numerical certifier, so a kernel whose rounding error cannot be
@@ -434,11 +451,9 @@ class ExecutionContext:
 
         if isinstance(variant, str):
             variant = get_variant(variant)
-        s = self.sigma if sigma is None else sigma
-        bs = self._block_shape_for(variant, block_shape)
+        c, s, bs = self._knobs(variant, slice_height, sigma, block_shape)
         key = SignatureRegistry.verify_key(
-            variant.name, csr, self.slice_height, s,
-            self.strict_alignment, block_shape=bs,
+            variant.name, csr, c, s, self.strict_alignment, block_shape=bs,
         )
         return self.registry.get_or_compute(
             "verify",
@@ -446,7 +461,7 @@ class ExecutionContext:
             lambda: analyze_variant(
                 variant,
                 csr,
-                slice_height=self.slice_height,
+                slice_height=c,
                 sigma=s,
                 strict_alignment=self.strict_alignment,
                 block_shape=bs,
@@ -467,10 +482,9 @@ class ExecutionContext:
 
         if isinstance(variant, str):
             variant = get_variant(variant)
-        bs = self._block_shape_for(variant)
+        c, s, bs = self._knobs(variant)
         key = SignatureRegistry.certificate_key(
-            variant.name, csr, self.slice_height, self.sigma,
-            self.strict_alignment, block_shape=bs,
+            variant.name, csr, c, s, self.strict_alignment, block_shape=bs,
         )
         return self.registry.get_or_compute(
             "numcert",
@@ -478,45 +492,14 @@ class ExecutionContext:
             lambda: certify_variant(
                 variant,
                 csr,
-                slice_height=self.slice_height,
-                sigma=self.sigma,
+                slice_height=c,
+                sigma=s,
                 strict_alignment=self.strict_alignment,
                 block_shape=bs,
             ),
         )
 
     # -- tuning (the inspector step, memoized) -------------------------
-    def tune(
-        self,
-        csr: AijMat,
-        slice_heights: tuple[int, ...] = (8, 16),
-        sigmas: tuple[int, ...] = (1, 4, 16, 64),
-        scale: float = 1.0,
-    ) -> TuneResult:
-        """SELL (C, sigma) sweep, memoized per sparsity signature.
-
-        Instruction counts and padding are pure functions of the sparsity
-        *structure*, so the structural signature is the exact cache key:
-        reassembling the operator with new coefficients (every Newton step
-        of the Gray-Scott runs) hits the cache.
-        """
-        key = SignatureRegistry.tune_key(
-            csr, slice_heights, sigmas, scale, self._policy_key()
-        )
-
-        def sweep() -> TuneResult:
-            self.autotune_sweeps += 1
-            obs_counter("context.tune_sweeps")
-            return tune_sell(
-                csr,
-                slice_heights=slice_heights,
-                sigmas=sigmas,
-                scale=scale,
-                ctx=self,
-            )
-
-        return self.registry.get_or_compute("tune", key, sweep)
-
     def best_plan(
         self,
         csr: AijMat,
@@ -524,24 +507,34 @@ class ExecutionContext:
         scale: float = 1.0,
         sigmas: tuple[int, ...] | None = None,
         block_shapes: tuple[tuple[int, int], ...] | None = None,
+        slice_heights: tuple[int, ...] | None = None,
     ) -> FormatPlan:
-        """The fastest (variant, sigma, block shape) plan for this matrix.
+        """The fastest (variant, C, sigma, block shape) plan for this matrix.
 
-        The enlarged autotune sweep: every supported registered variant
-        (or ``candidates``) crossed with the sorting scopes in ``sigmas``
-        and — for block-masked formats only — the block shapes in
-        ``block_shapes``.  Both knob sets default to the context's single
-        configured value, which makes the default sweep exactly the
-        historical per-variant sweep of :meth:`best_variant`.  The
-        winning :class:`FormatPlan` is cached per sparsity signature
-        *and* per knob space (the ``knobs`` leg of
+        The one autotune sweep: every supported registered variant (or
+        ``candidates``) crossed with the knob sets its format declares
+        (:func:`repro.mat.base.register_format`) — the slice heights in
+        ``slice_heights``, the sorting scopes in ``sigmas`` and the block
+        shapes in ``block_shapes``.  Each set defaults to the context's
+        single configured value, which makes the default sweep exactly
+        one measurement per variant.  A format is never re-measured over
+        a knob it ignores, and a (C, sigma) point its converter rejects
+        (sigma not a multiple of C) is skipped, as is a variant whose
+        conversion rejects the matrix (e.g. BAIJ on odd dimensions) and
+        — when :attr:`verify_variants` is set — any candidate the static
+        analyzer finds defects in.  The plan's :attr:`FormatPlan.sweep`
+        lists every priced candidate.
+
+        The winning plan is cached per sparsity signature *and* per knob
+        space (the ``knobs`` leg of
         :meth:`~repro.core.registry.SignatureRegistry.best_key`), so a
-        wider search never reuses a narrower search's verdict.  Variants
-        whose conversion rejects the matrix (e.g. BAIJ on odd
-        dimensions) are skipped, as is — when :attr:`verify_variants` is
-        set — any variant the static analyzer finds defects in.
+        wider search never reuses a narrower search's verdict.
         """
         pool = self.supported_variants() if candidates is None else candidates
+        heights = (
+            (self.slice_height,) if slice_heights is None
+            else tuple(slice_heights)
+        )
         sigma_set = (self.sigma,) if sigmas is None else tuple(sigmas)
         shape_set = (
             (self.block_shape,)
@@ -551,7 +544,10 @@ class ExecutionContext:
         key = SignatureRegistry.best_key(
             csr, tuple(v.name for v in pool), scale, self.verify_variants,
             self._policy_key(),
-            knobs=(self.slice_height, sigma_set, shape_set),
+            knobs=(
+                self.slice_height if slice_heights is None else heights,
+                sigma_set, shape_set,
+            ),
         )
         ran = []
 
@@ -559,42 +555,37 @@ class ExecutionContext:
             ran.append(True)
             self.autotune_sweeps += 1
             obs_counter("context.autotune_sweeps")
-            best: FormatPlan | None = None
+            rows: list[FormatPlan] = []
             for variant in pool:
-                shapes: tuple[tuple[int, int] | None, ...] = (
-                    shape_set
-                    if variant.fmt in BLOCK_SHAPE_FORMATS
-                    else (None,)
+                declared = variant.knobs
+                points = itertools.product(
+                    heights if "slice_height" in declared
+                    else (self.slice_height,),
+                    sigma_set if "sigma" in declared else (self.sigma,),
+                    shape_set if "block_shape" in declared else (None,),
                 )
-                for sigma in sigma_set:
-                    for shape in shapes:
-                        try:
-                            meas = self.measure(
-                                variant, csr, sigma=sigma, block_shape=shape
-                            )
-                        except (ValueError, NotImplementedError):
-                            continue  # format constraint (block size, masks)
-                        if (
-                            self.verify_variants
-                            and not self.verify_variant(
-                                variant, csr, sigma=sigma, block_shape=shape
-                            ).ok
-                        ):
-                            continue  # statically defective; refuse
-                        perf = self.predict(meas, scale=scale)
-                        if best is None or perf.gflops > best.gflops:
-                            best = FormatPlan(
-                                variant=variant,
-                                slice_height=self.slice_height,
-                                sigma=sigma,
-                                block_shape=self._block_shape_for(
-                                    variant, shape
-                                ),
-                                gflops=perf.gflops,
-                            )
-            if best is None:
+                for c, sigma, shape in points:
+                    try:
+                        meas = self.measure(
+                            variant, csr, slice_height=c, sigma=sigma,
+                            block_shape=shape,
+                        )
+                    except (ValueError, NotImplementedError):
+                        continue  # format constraint (knobs, masks)
+                    if self.verify_variants and not self.verify_variant(
+                        variant, csr, sigma=sigma, block_shape=shape,
+                        slice_height=c,
+                    ).ok:
+                        continue  # statically defective; refuse
+                    rows.append(FormatPlan(
+                        variant, c, sigma, shape,
+                        self.predict(meas, scale=scale).gflops,
+                    ))
+            if not rows:
                 raise ValueError("no registered variant accepts this matrix")
-            return best
+            # max keeps the first of equal candidates: sweep order breaks ties.
+            best = max(rows, key=lambda row: row.gflops)
+            return replace(best, sweep=tuple(rows))
 
         plan = self.registry.get_or_compute("best", key, sweep)
         if not ran:
@@ -607,21 +598,23 @@ class ExecutionContext:
         candidates: tuple[KernelVariant, ...] | None = None,
         scale: float = 1.0,
     ) -> KernelVariant:
-        """The fastest registered variant for this matrix on this machine.
-
-        A thin wrapper over :meth:`best_plan` at the context's own knobs
-        — the historical entry point, returning just the winning variant.
-        The memoization keeps repeated solver iterations from ever
-        re-running the sweep.
-        """
+        """The winning variant of :meth:`best_plan` at the context's knobs."""
         return self.best_plan(csr, candidates=candidates, scale=scale).variant
 
     # -- format conversion (the executor step) -------------------------
+    def _resolve(self, csr: AijMat) -> tuple[KernelVariant, tuple]:
+        """The variant and (C, sigma, block shape) a product on ``csr``
+        runs with: the default variant at the context's knobs, or else the
+        memoized default-sweep plan."""
+        if self.default_variant is not None:
+            variant: KernelVariant = self.default_variant  # type: ignore[assignment]
+            return variant, self._knobs(variant)
+        plan = self.best_plan(csr)
+        return plan.variant, (plan.slice_height, plan.sigma, plan.block_shape)
+
     def resolve_variant(self, csr: AijMat) -> KernelVariant:
         """The variant :meth:`reformat` would use: default or autotuned."""
-        if self.default_variant is not None:
-            return self.default_variant  # type: ignore[return-value]
-        return self.best_variant(csr)
+        return self._resolve(csr)[0]
 
     def reformat(self, csr: AijMat) -> Mat:
         """Convert an assembled CSR operator to this context's format.
@@ -633,25 +626,16 @@ class ExecutionContext:
         registry's ``prepare`` namespace, so repeated solver setups on
         an unchanged operator share one converted matrix.
         """
-        if self.default_variant is not None:
-            variant = self.default_variant
-            return self._prepared(
-                variant, csr, self.slice_height, self.sigma,
-                self._block_shape_for(variant),  # type: ignore[arg-type]
-            )
-        plan = self.best_plan(csr)
-        return self._prepared(
-            plan.variant, csr, plan.slice_height, plan.sigma,
-            plan.block_shape,
-        )
+        variant, knobs = self._resolve(csr)
+        return self._prepared(variant, csr, *knobs)
 
     # -- serving (multi-vector products over the shared registry) -------
     def spmm(self, csr: AijMat, xs: np.ndarray) -> np.ndarray:
         """One multi-vector product pass ``Y = A @ [x1 ... xk]``.
 
-        The serving path of :mod:`repro.serve`: resolves the operator's
-        variant through the registry-memoized tuning decision, reuses the
-        memoized format conversion, and runs a *single* SpMM pass over
+        The serving path of :mod:`repro.serve`: converts the operator as
+        :meth:`reformat` does (a registry-memoized tuning decision and
+        conversion), and runs a *single* SpMM pass over
         the prepared operator (:meth:`repro.mat.base.Mat.multiply_multi`).
         Column ``j`` of the result is bit-identical whether the request
         was served alone or batched with any other same-operator
@@ -661,11 +645,8 @@ class ExecutionContext:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim == 1:
             xs = xs[:, None]
-        variant = self.resolve_variant(csr)
-        prepared = self._prepared(
-            variant, csr, self.slice_height, self.sigma,
-            self._block_shape_for(variant),
-        )
+        variant, knobs = self._resolve(csr)
+        prepared = self._prepared(variant, csr, *knobs)
         with obs_event(f"SpMM:{variant.name}"):
             return prepared.multiply_multi(xs)
 
@@ -685,21 +666,15 @@ class ExecutionContext:
 
         if isinstance(op, MPISell):
             return op
-        variant = (
-            self.default_variant
-            if self.default_variant is not None
-            else self.best_variant(op.diag.to_csr())
-        )
-        if variant.fmt == "SELL":  # type: ignore[union-attr]
-            return MPISell.from_mpiaij(
-                op, slice_height=self.slice_height, sigma=self.sigma
-            )
+        variant, (c, sigma, _) = self._resolve(op.diag.to_csr())
+        if variant.fmt == "SELL":
+            return MPISell.from_mpiaij(op, slice_height=c, sigma=sigma)
         return op
 
     # -- observability -------------------------------------------------
     @contextlib.contextmanager
     def observe(self, observer=None):
-        """Install an observer for the block; measure/tune record into it.
+        """Install an observer for the block; measure/autotune record into it.
 
         Yields the active :class:`~repro.obs.observer.Observer` (a fresh
         one unless passed in).  While installed, every measurement made
@@ -724,10 +699,10 @@ class ExecutionContext:
         """What distinguishes this context's *pricing* in shared caches.
 
         Engine measurements, verifier verdicts and prepared formats depend
-        only on the kernel and the matrix; tune results and autotune
-        winners also depend on the machine being priced.  Their registry
-        keys carry this tuple so context views at different rank counts or on
-        different machines coexist in one shared registry.
+        only on the kernel and the matrix; autotune winners also depend
+        on the machine being priced.  Their registry keys carry this
+        tuple so context views at different rank counts or on different
+        machines coexist in one shared registry.
         """
         return (self.spec.name, self.memory_mode.value, self.nprocs)
 
@@ -744,7 +719,7 @@ class ExecutionContext:
         """Same machine and policy at a different rank count.
 
         Shares the registry; machine-independent entries (measurements,
-        verdicts, prepared formats) are reused directly, while tune/best
+        verdicts, prepared formats) are reused directly, while best
         entries are policy-keyed, so the re-priced rank count sweeps
         fresh without disturbing the original's decisions.
         """
@@ -761,7 +736,7 @@ class ExecutionContext:
     ) -> "ExecutionContext":
         # Shared by design: the registry's machine-independent namespaces
         # (measure/prepare/default_x) serve every view, and the
-        # policy-keyed namespaces (tune/best) partition by machine+ranks.
+        # policy-keyed namespace (best) partitions by machine+ranks.
         return ExecutionContext(
             model=model,
             nprocs=nprocs,

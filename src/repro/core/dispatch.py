@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from ..mat.aij import AijMat
-from ..mat.base import BLOCK_SHAPE_FORMATS, Mat, converter_for
+from ..mat.base import Mat, converter_for, format_knobs
 from ..obs.observer import obs_event
 from ..simd.counters import KernelCounters
 from ..simd.engine import SimdEngine
@@ -59,30 +60,36 @@ class KernelVariant:
     kernel: Callable[[SimdEngine, Mat, np.ndarray, np.ndarray], None]
     efficiency: float = 1.0       #: time multiplier 1/efficiency at predict
 
+    @cached_property
+    def knobs(self) -> tuple[str, ...]:
+        """The tuning knobs this variant's format declares
+        (:func:`repro.mat.base.register_format`)."""
+        return format_knobs(self.fmt)
+
     def prepare(
-        self, csr: AijMat, slice_height: int = 8, sigma: int = 1,
+        self, csr: AijMat, slice_height: int | None = 8, sigma: int | None = 1,
         registry=None, block_shape: tuple[int, int] | None = None,
     ) -> Mat:
         """Convert the assembled CSR operator to this variant's format.
 
         Dispatches through the format-converter registry
-        (:func:`repro.mat.base.register_format`); formats without the
-        SELL tuning knobs ignore them, and ``block_shape`` is forwarded
-        only to formats registered with the knob
-        (:data:`repro.mat.base.BLOCK_SHAPE_FORMATS`) — ``None`` selects
-        the format's own default.  Passing a
+        (:func:`repro.mat.base.register_format`), passing only the knobs
+        the format declares; a declared knob given as ``None`` takes the
+        converter's own default.  Passing a
         :class:`~repro.core.registry.SignatureRegistry` memoizes the
-        conversion per (format, knobs, matrix values) with single-flight
-        semantics — concurrent preparations of one operator convert once
-        and share the result.
+        conversion per (format, declared knobs, matrix values) with
+        single-flight semantics — concurrent preparations of one operator
+        convert once and share the result.
         """
-        kwargs: dict = {"slice_height": slice_height, "sigma": sigma}
-        if block_shape is not None and self.fmt in BLOCK_SHAPE_FORMATS:
-            kwargs["block_shape"] = block_shape
+        given = {
+            "slice_height": slice_height, "sigma": sigma,
+            "block_shape": block_shape,
+        }
+        kwargs = {k: given[k] for k in self.knobs if given[k] is not None}
         if registry is None:
             return converter_for(self.fmt)(csr, **kwargs)
         key = registry.prepare_key(
-            self.fmt, slice_height, sigma, csr,
+            self.fmt, kwargs.get("slice_height"), kwargs.get("sigma"), csr,
             block_shape=kwargs.get("block_shape"),
         )
         return registry.get_or_compute(

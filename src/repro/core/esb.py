@@ -76,6 +76,6 @@ class EsbMat(SellMat):
         return super().memory_bytes() + self.bit_array_bytes
 
 
-@register_format("ESB")
+@register_format("ESB", knobs=("slice_height", "sigma"))
 def _esb_from_csr(csr: AijMat, *, slice_height: int = 8, sigma: int = 1) -> EsbMat:
     return EsbMat.from_csr(csr, slice_height=slice_height, sigma=sigma)

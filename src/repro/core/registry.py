@@ -1,7 +1,7 @@
 """SignatureRegistry: the shared, concurrency-safe memoization store.
 
-The caches of :class:`~repro.core.context.ExecutionContext` (tune and
-measure memos, prepared formats, verifier verdicts and rounding
+The caches of :class:`~repro.core.context.ExecutionContext` (autotune
+and measure memos, prepared formats, verifier verdicts and rounding
 certificates) all share one organizing idea: the sparsity *signature*
 (:func:`repro.mat.sparsity.signature`) is the exact key under which
 preprocessing amortizes — the same structure-only amortization argument
@@ -12,7 +12,7 @@ concurrent requests (the :mod:`repro.serve` front door) can share:
 * **lock striping** — entries hash onto a small array of stripes, each
   with its own lock and LRU list, so unrelated signatures never contend;
 * **single-flight** — concurrent misses on one key elect exactly one
-  *leader* that runs the factory (converts the format, runs the tune sweep)
+  *leader* that runs the factory (converts the format, runs the autotune sweep)
   while the other threads wait and then reuse the leader's result, so an
   uncached signature is converted/tuned exactly once however many requests
   race on it;
@@ -32,8 +32,8 @@ Contexts hold a registry and become cheap views over it: a fresh
 :class:`~repro.core.context.ExecutionContext` makes its own private
 registry (per-call behavior identical to the historical dicts), while a
 server passes one shared registry to every context view it derives.
-Entries whose payload depends on the *pricing* of a machine (tune results,
-autotune winners) carry a policy key — ``(processor, memory mode,
+Entries whose payload depends on the *pricing* of a machine (autotune
+winners) carry a policy key — ``(processor, memory mode,
 nprocs)`` — so views at different rank counts coexist in one store.
 
 :data:`PLANS` is the one process-wide registry of *symbolic* setup plans
@@ -61,7 +61,6 @@ from ..obs.observer import obs_counter
 NAMESPACES = (
     "measure",
     "prepare",
-    "tune",
     "best",
     "verify",
     "numcert",
@@ -161,22 +160,11 @@ class SignatureRegistry:
     ) -> tuple:
         """Key of a prepared (converted) operator (value-dependent).
 
-        ``block_shape`` is the β(r,c) block-dimension knob; it is ``None``
-        for every format outside
-        :data:`repro.mat.base.BLOCK_SHAPE_FORMATS`, so SELL-family keys
-        are unaffected by the knob's existence.
+        A knob the format does not declare
+        (:func:`repro.mat.base.format_knobs`) is ``None`` here, so one
+        conversion serves every value of a knob the converter ignores.
         """
         return (fmt, slice_height, sigma, cls.content_key(csr), block_shape)
-
-    @classmethod
-    def tune_key(
-        cls, csr, slice_heights: tuple[int, ...], sigmas: tuple[int, ...],
-        scale: float, policy: tuple,
-    ) -> tuple:
-        """Key of a SELL (C, sigma) sweep result.  Structural, plus the
-        pricing policy (processor, memory mode, nprocs) the sweep ranked
-        candidates under."""
-        return (cls.structure_key(csr), slice_heights, sigmas, scale, policy)
 
     @classmethod
     def best_key(
@@ -185,8 +173,8 @@ class SignatureRegistry:
     ) -> tuple:
         """Key of an autotuned winning plan (structural + policy).
 
-        ``knobs`` pins the searched knob space — the (slice_height,
-        sigma, block_shape) candidate sets of
+        ``knobs`` pins the searched knob space — the (slice height,
+        sigma, block shape) candidate sets of
         :meth:`~repro.core.context.ExecutionContext.best_plan` — so a
         wider sweep never reuses a narrower sweep's winner.
         """

@@ -54,6 +54,7 @@ import numpy as np
 from ..mat.aij import AijMat
 from ..mat.base import Mat, register_format
 from ..mat.ellpack import padding_columns
+from ..mat.sparsity import signature
 from ..memory.spaces import aligned_alloc
 from .registry import PLANS, read_only
 
@@ -110,6 +111,8 @@ class SellMat(Mat):
         self._row_of_element: np.ndarray | None = None
         self._slots: np.ndarray | None = None
         self._csr: AijMat | None = None
+        #: Structure signature of the CSR this matrix was converted from.
+        self._source_signature: str | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -156,6 +159,7 @@ class SellMat(Mat):
         )
         sell._row_of_element = plan.row_map
         sell._slots = plan.slots
+        sell._source_signature = plan.source_signature
         sell.val[plan.slots] = csr.val
         return sell
 
@@ -231,7 +235,9 @@ class SellMat(Mat):
         """The CSR form, built once per matrix and shared (don't mutate it).
 
         The slots are gathered in row order; a row whose columns are not
-        sorted goes through :meth:`AijMat.from_coo` to sort them.
+        sorted goes through :meth:`AijMat.from_coo` to sort them.  When no
+        row needs sorting, the result has the source CSR's structure, so it
+        inherits the source's structure signature instead of hashing again.
         """
         if self._csr is None:
             m, n = self.shape
@@ -245,6 +251,8 @@ class SellMat(Mat):
             sorted_rows[starts[(starts > 0) & (starts < cols.size)] - 1] = True
             if sorted_rows.all():
                 self._csr = AijMat((m, n), rowptr, cols, vals)
+                if self._source_signature is not None:
+                    self._csr._signature_cache = {False: self._source_signature}
             else:
                 rows = np.repeat(np.arange(m, dtype=np.int64), self.rlen)
                 self._csr = AijMat.from_coo(
@@ -338,6 +346,8 @@ class _SellPlan:
     colidx: np.ndarray
     row_map: np.ndarray
     slots: np.ndarray
+    #: The source CSR's structure signature (the plan store's key leg).
+    source_signature: str
 
     @classmethod
     def build(cls, csr: AijMat, c: int, sigma: int) -> "_SellPlan":
@@ -373,9 +383,9 @@ class _SellPlan:
         colidx[slots] = csr.colidx
         arrays = (lengths, perm, sliceptr, colidx, row_map, slots)
         read_only(*arrays)
-        return cls(*arrays)
+        return cls(*arrays, source_signature=signature(csr))
 
 
-@register_format("SELL")
+@register_format("SELL", knobs=("slice_height", "sigma"))
 def _sell_from_csr(csr: AijMat, *, slice_height: int = 8, sigma: int = 1) -> SellMat:
     return SellMat.from_csr(csr, slice_height=slice_height, sigma=sigma)

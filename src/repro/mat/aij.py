@@ -261,5 +261,5 @@ class AijMat(Mat):
 # PETSc spelling; "MKL" runs the inspector-executor path on the same CSR
 # arrays (the library never reformats, it only re-schedules).
 @register_format("CSR", "AIJ", "MKL")
-def _csr_identity(csr: AijMat, *, slice_height: int = 8, sigma: int = 1) -> AijMat:
+def _csr_identity(csr: AijMat) -> AijMat:
     return csr

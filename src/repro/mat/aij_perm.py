@@ -90,7 +90,5 @@ class AijPermMat(Mat):
 
 
 @register_format("CSRPerm")
-def _csrperm_from_csr(
-    csr: AijMat, *, slice_height: int = 8, sigma: int = 1
-) -> AijPermMat:
+def _csrperm_from_csr(csr: AijMat) -> AijPermMat:
     return AijPermMat.from_csr(csr)

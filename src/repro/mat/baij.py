@@ -118,5 +118,5 @@ class BaijMat(Mat):
 
 # Block size 2: the Gray-Scott Jacobian's natural (u, v) blocks.
 @register_format("BAIJ")
-def _baij_from_csr(csr: AijMat, *, slice_height: int = 8, sigma: int = 1) -> BaijMat:
+def _baij_from_csr(csr: AijMat) -> BaijMat:
     return BaijMat.from_csr(csr, 2)

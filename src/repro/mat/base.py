@@ -29,17 +29,16 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .aij import AijMat
 
-#: A format converter: assembled CSR in, format-specific Mat out.  The two
-#: keyword parameters are the SELL-C-sigma tuning knobs; converters for
-#: formats without those knobs simply ignore them.
+#: A format converter: assembled CSR in, format-specific Mat out.  It takes
+#: as keywords exactly the tuning knobs its registration declares.
 FormatConverter = Callable[..., "Mat"]
 
-_FORMAT_CONVERTERS: dict[str, FormatConverter] = {}
+#: Every tuning knob a converter may declare: the SELL-C-sigma slice height
+#: and sorting scope (Sections 5.1 and 5.4) and the β(r,c) block shape.
+KNOBS = ("slice_height", "sigma", "block_shape")
 
-#: Format names whose converters accept the ``block_shape`` tuning knob
-#: (the β(r,c) block family).  :meth:`KernelVariant.prepare` consults this
-#: set so formats without the knob never see the keyword.
-BLOCK_SHAPE_FORMATS: set[str] = set()
+_FORMAT_CONVERTERS: dict[str, FormatConverter] = {}
+_FORMAT_KNOBS: dict[str, tuple[str, ...]] = {}
 
 
 class MatrixShapeError(ValueError):
@@ -51,7 +50,7 @@ class UnknownFormatError(KeyError):
 
 
 def register_format(
-    *names: str, block_shape: bool = False
+    *names: str, knobs: tuple[str, ...] = ()
 ) -> Callable[[FormatConverter], FormatConverter]:
     """Register a CSR-to-format converter under one or more format names.
 
@@ -60,19 +59,20 @@ def register_format(
     ``fmt`` string instead of hard-coding an if-chain, so adding a format is
     one decorated definition next to the Mat subclass it builds::
 
-        @register_format("SELL")
+        @register_format("SELL", knobs=("slice_height", "sigma"))
         def _sell_from_csr(csr, *, slice_height=8, sigma=1):
             return SellMat.from_csr(csr, slice_height=slice_height, sigma=sigma)
 
-    Converters take the assembled CSR operator plus the keyword tuning
-    knobs ``slice_height`` and ``sigma`` (ignored by formats without them)
-    and return the converted :class:`Mat`.  Converters registered with
-    ``block_shape=True`` additionally accept a ``block_shape=(r, c)``
-    keyword (the β(r,c) block-dimension knob); the names are published in
-    :data:`BLOCK_SHAPE_FORMATS` so prepare paths know when to pass it.
+    ``knobs`` names the tuning knobs (a subset of :data:`KNOBS`) the
+    converter takes as keywords.  Preparation, cache keys and the
+    autotuner's sweep pass and vary only those, so a format is never
+    re-converted or re-measured over a knob it ignores.
     """
     if not names:
         raise ValueError("register_format needs at least one format name")
+    unknown = set(knobs) - set(KNOBS)
+    if unknown:
+        raise ValueError(f"unknown tuning knobs {sorted(unknown)}; known: {KNOBS}")
 
     def deco(converter: FormatConverter) -> FormatConverter:
         for name in names:
@@ -80,11 +80,16 @@ def register_format(
             if existing is not None and existing is not converter:
                 raise ValueError(f"format {name!r} is already registered")
             _FORMAT_CONVERTERS[name] = converter
-            if block_shape:
-                BLOCK_SHAPE_FORMATS.add(name)
+            _FORMAT_KNOBS[name] = tuple(k for k in KNOBS if k in knobs)
         return converter
 
     return deco
+
+
+def format_knobs(fmt: str) -> tuple[str, ...]:
+    """The tuning knobs a registered format's converter consumes."""
+    converter_for(fmt)  # unknown formats raise the registry's error
+    return _FORMAT_KNOBS[fmt]
 
 
 def converter_for(fmt: str) -> FormatConverter:

@@ -152,7 +152,5 @@ def padding_columns(csr: AijMat, width: int | None = None) -> np.ndarray:
 # rlen array); the two registrations exist because the *kernels* differ —
 # ELLPACK multiplies padding, ELLPACK-R masks it off per rlen.
 @register_format("ELLPACK", "ELLPACK-R")
-def _ellpack_from_csr(
-    csr: AijMat, *, slice_height: int = 8, sigma: int = 1
-) -> EllpackMat:
+def _ellpack_from_csr(csr: AijMat) -> EllpackMat:
     return EllpackMat.from_csr(csr)

@@ -43,6 +43,10 @@ class HybridMat(Mat):
             )
         if width < 0:
             raise ValueError("ELL width must be non-negative")
+        if n == 0:
+            # No column for a padding slot to point at, and no entries to
+            # store: the ELL part of a 0-column matrix is empty.
+            width = 0
 
         rows, slot = row_positions(csr)
         in_ell = slot < width
@@ -98,7 +102,5 @@ class HybridMat(Mat):
 
 
 @register_format("HYB")
-def _hybrid_from_csr(
-    csr: AijMat, *, slice_height: int = 8, sigma: int = 1
-) -> HybridMat:
+def _hybrid_from_csr(csr: AijMat) -> HybridMat:
     return HybridMat.from_csr(csr)

@@ -121,12 +121,6 @@ class TestAutotuneMemoization:
         odd = make_random_csr(23, density=0.25, seed=7)
         assert ctx.best_variant(odd) in registered_variants()
 
-    def test_tune_memoized_per_structure(self, ctx, gs):
-        first = ctx.tune(gs)
-        assert ctx.autotune_sweeps == 1
-        assert ctx.tune(gs) is first
-        assert ctx.autotune_sweeps == 1
-
 
 class TestReformat:
     def test_reformat_gray_scott_to_sell(self, gs):

@@ -7,7 +7,12 @@ import pytest
 
 from repro.core.beta import BetaMat, DEFAULT_BLOCK_SHAPE
 from repro.core.context import ExecutionContext, FormatPlan
-from repro.core.dispatch import BETA_AVX512, SELL_AVX512, KernelVariant
+from repro.core.dispatch import (
+    BETA_AVX512,
+    CSR_AVX512,
+    SELL_AVX512,
+    KernelVariant,
+)
 from repro.core.kernels_sve import spmv_sell_sve
 from repro.core.spmv import default_x
 from repro.machine.perf_model import make_model
@@ -185,9 +190,80 @@ class TestBestPlan:
     def test_default_block_shape_matches_the_converter_default(self):
         assert ExecutionContext().block_shape == DEFAULT_BLOCK_SHAPE
 
+    def test_papers_choice_stands_on_its_own_operator(self):
+        """For the regular Gray-Scott matrix, C=8/sigma=1 is (within the
+        sweep noise) the winner the paper hard-codes: sorting a regular
+        matrix buys nothing."""
+        csr = gray_scott_jacobian(16)  # 512 rows
+        ctx = ExecutionContext()
+        plan = ctx.best_plan(
+            csr, candidates=(SELL_AVX512,), scale=64.0,
+            slice_heights=(8, 16), sigmas=(1, 32, 64, 128, 256, 512),
+        )
+        paper = next(
+            r for r in plan.sweep if (r.slice_height, r.sigma) == (8, 1)
+        )
+        assert plan.gflops <= paper.gflops * 1.02
+        won = ctx.measure(
+            SELL_AVX512, csr, slice_height=plan.slice_height, sigma=plan.sigma
+        )
+        assert won.mat.padding_fraction == 0.0
+
+    def test_sorting_wins_on_a_power_law_matrix_at_full_node(self):
+        csr = irregular_rows(512, min_len=2, max_len=48, seed=9)
+        ctx = ExecutionContext(nprocs=64)
+        plan = ctx.best_plan(
+            csr, candidates=(SELL_AVX512,),
+            slice_heights=(8, 16), sigmas=(1, 32, 64, 128, 256, 512),
+        )
+        assert plan.sigma > 1
+        padding = {
+            (r.slice_height, r.sigma): ctx.measure(
+                SELL_AVX512, csr, slice_height=r.slice_height, sigma=r.sigma
+            ).mat.padding_fraction
+            for r in plan.sweep
+        }
+        assert padding[plan.slice_height, plan.sigma] < padding[8, 1]
+
+    def test_sweep_skips_scopes_that_split_a_slice(self):
+        csr = gray_scott_jacobian(8)
+        plan = ExecutionContext().best_plan(
+            csr, candidates=(SELL_AVX512,),
+            slice_heights=(8, 16), sigmas=(1, 8, 16),
+        )
+        # sigma = 8 is not a multiple of C = 16: SellMat rejects it.
+        assert [(r.slice_height, r.sigma) for r in plan.sweep] == [
+            (8, 1), (8, 8), (8, 16), (16, 1), (16, 16),
+        ]
+        assert plan in plan.sweep
+        assert plan.gflops == max(r.gflops for r in plan.sweep)
+
+    def test_empty_sweep_raises(self):
+        csr = gray_scott_jacobian(4)
+        with pytest.raises(ValueError):
+            ExecutionContext().best_plan(
+                csr, candidates=(SELL_AVX512,), slice_heights=()
+            )
+
+    def test_formats_are_swept_only_over_their_declared_knobs(self):
+        csr = gray_scott_jacobian(8)
+        ctx = ExecutionContext()
+        plan = ctx.best_plan(
+            csr, candidates=(CSR_AVX512, SELL_AVX512), sigmas=(1, 16, 64)
+        )
+        csr_rows = [r for r in plan.sweep if r.variant is CSR_AVX512]
+        assert len(csr_rows) == 1
+        assert [r.sigma for r in plan.sweep if r.variant is SELL_AVX512] == [
+            1, 16, 64,
+        ]
+        # CSR ignores sigma, so every sigma shares the one measurement.
+        assert ctx.measure(CSR_AVX512, csr, sigma=16) is ctx.measure(
+            CSR_AVX512, csr, sigma=1
+        )
+
     def test_verify_gate_checks_every_swept_knob(self):
         """Under ``verify_variants`` each candidate is verified at its own
-        sigma and block shape, not at the context's defaults."""
+        declared knobs, not at the context's defaults."""
         csr = gray_scott_jacobian(8)
         ctx = ExecutionContext(verify_variants=True)
         sigmas, shapes = (1, 16), ((2, 4), (4, 4))
@@ -199,7 +275,7 @@ class TestBestPlan:
         verified = {(k[0], k[3], k[5]) for k in ctx.registry.keys("verify")}
         assert verified == {
             (SELL_AVX512.name, s, None) for s in sigmas
-        } | {(BETA_AVX512.name, s, b) for s in sigmas for b in shapes}
+        } | {(BETA_AVX512.name, None, b) for b in shapes}
 
 
 class TestA64fxContext:
@@ -236,12 +312,17 @@ class TestShootoutSmoke:
 
         csr = families()["long-tail"]
         ctx = ExecutionContext(model=make_model(KNL_7230), nprocs=1)
-        entries = _sweep_family(ctx, "KNL", "long-tail", csr)
+        entries, winner = _sweep_family(ctx, "KNL", "long-tail", csr)
         assert entries
         sell = [e for e in entries if e.variant == "SELL using AVX512"]
         assert {e.sigma for e in sell} == {1, 16, 64}
+        assert [e.variant for e in entries].count("CSR using AVX512") == 1
         beta = [e for e in entries if e.variant == "BETA using AVX512"]
         assert beta and all(e.padded_flops == 0 for e in beta)
+        assert {e.sigma for e in beta} == {1}
+        # The winner is the plan: the first sweep entry at the best gflops.
+        assert winner == max(entries, key=lambda e: e.gflops)
+        assert ctx.autotune_sweeps == 1
         gate = _gate_sigma_sorting(entries)
         assert gate["ok"], gate
 

@@ -22,6 +22,7 @@ from repro.mat.aij import AijMat
 from repro.mat.base import (
     UnknownFormatError,
     converter_for,
+    format_knobs,
     register_format,
     registered_formats,
 )
@@ -96,6 +97,19 @@ class TestFormatRegistry:
             @register_format("CSR")
             def _other(csr, *, slice_height=8, sigma=1):  # pragma: no cover
                 return csr
+
+    def test_formats_declare_the_knobs_they_take(self):
+        assert format_knobs("SELL") == ("slice_height", "sigma")
+        assert format_knobs("ESB") == ("slice_height", "sigma")
+        assert format_knobs("BETA") == ("block_shape",)
+        for fmt in ("CSR", "AIJ", "MKL", "CSRPerm", "BAIJ", "ELLPACK", "HYB"):
+            assert format_knobs(fmt) == ()
+        with pytest.raises(UnknownFormatError):
+            format_knobs("DIA")
+
+    def test_an_unknown_knob_is_an_error(self):
+        with pytest.raises(ValueError, match="unknown tuning knobs"):
+            register_format("DIA", knobs=("sigmas",))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.mat.aij import AijMat
 from repro.mat.baij import BaijMat
 from repro.mat.ellpack import EllpackMat
 from repro.mat.hybrid import HybridMat
+from repro.mat.sparsity import signature
 
 # ----------------------------------------------------------------------
 # Reference oracles: the loop implementations the fast paths replaced.
@@ -254,7 +255,8 @@ def ref_hybrid_from_csr(csr, width):
     per-row split loop at ELL width ``width``."""
     m, n = csr.shape
     lengths = csr.row_lengths()
-    ell_width = max(width, 0)
+    # A 0-column matrix has no column for padding to point at: width 0.
+    ell_width = max(width, 0) if n else 0
     val = np.zeros((m, ell_width), order="F")
     colidx = np.zeros((m, ell_width), dtype=np.int32, order="F")
     rlen = np.minimum(lengths, ell_width)
@@ -417,6 +419,7 @@ def degenerate_matrices():
         "0x0": AijMat.from_coo((0, 0), [], [], []),
         "0x3": AijMat.from_coo((0, 3), [], [], []),
         "3x0": AijMat.from_coo((3, 0), [], [], []),
+        "1x0": AijMat.from_coo((1, 0), [], [], []),
         "all-empty-rows": AijMat.from_coo((9, 9), [], [], []),
         "some-empty-rows": AijMat.from_coo(
             (9, 6), [0, 4, 4, 8], [5, 0, 3, 2], [1.0, 2.0, 3.0, 4.0]
@@ -495,6 +498,23 @@ def check_sell_paths(csr):
         assert sell.to_csr() is sell.to_csr()
 
 
+def check_sell_signature_seed(csr):
+    """``to_csr`` of a converted SellMat inherits the source's structure
+    signature exactly when it rebuilt the source's structure."""
+    m = csr.shape[0]
+    rows_sorted = all(
+        np.all(np.diff(csr.colidx[csr.rowptr[i] : csr.rowptr[i + 1]]) >= 0)
+        for i in range(m)
+    )
+    for c, sigma in sell_params(m):
+        out = SellMat.from_csr(csr, slice_height=c, sigma=sigma).to_csr()
+        seeded = getattr(out, "_signature_cache", {}).get(False)
+        fresh = signature(AijMat(out.shape, out.rowptr, out.colidx, out.val))
+        assert (seeded is not None) == rows_sorted, f"C={c} sigma={sigma}"
+        if seeded is not None:
+            assert seeded == fresh, f"C={c} sigma={sigma}"
+
+
 def check_esb_bits(csr):
     for c, sigma in sell_params(csr.shape[0]):
         esb = EsbMat.from_csr(csr, slice_height=c, sigma=sigma)
@@ -509,8 +529,7 @@ def check_other_format_paths(csr):
     back = ref_ellpack_to_csr(ell)
     assert_csr_arrays(ell.to_csr(), back.rowptr, back.colidx, back.val)
     lengths = csr.row_lengths()
-    # Padding needs a column to point at, so a 0-column matrix has width 0.
-    widths = {0, 1, 2, int(lengths.max())} if csr.shape[1] and lengths.size else {0}
+    widths = {0, 1, 2, int(lengths.max()) if lengths.size else 0}
     for width in sorted(widths):
         hyb = HybridMat.from_csr(csr, width=width)
         val, colidx, rlen, rows, cols, vals = ref_hybrid_from_csr(csr, width)
@@ -550,6 +569,12 @@ def test_sell_setup_paths_match_the_loop_oracles(csr):
 
 @settings(max_examples=60, deadline=None)
 @given(csr=csr_panel())
+def test_sell_to_csr_inherits_the_source_signature(csr):
+    check_sell_signature_seed(csr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(csr=csr_panel())
 def test_aij_setup_paths_match_the_loop_oracles(csr):
     check_aij_paths(csr)
 
@@ -564,6 +589,7 @@ def test_other_format_setup_paths_match_the_loop_oracles(csr):
 def test_degenerate_structures(name):
     csr = DEGENERATE[name]
     check_sell_paths(csr)
+    check_sell_signature_seed(csr)
     check_aij_paths(csr)
     check_other_format_paths(csr)
 

@@ -104,9 +104,9 @@ def test_lru_eviction_drops_oldest_first():
 def test_failed_factory_caches_nothing():
     reg = SignatureRegistry()
     with pytest.raises(RuntimeError):
-        reg.get_or_compute("tune", ("k",), lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-    assert reg.get_or_compute("tune", ("k",), lambda: "ok") == "ok"
-    assert reg.stats()["misses"] == {"tune": 2}
+        reg.get_or_compute("best", ("k",), lambda: (_ for _ in ()).throw(RuntimeError("boom")))
+    assert reg.get_or_compute("best", ("k",), lambda: "ok") == "ok"
+    assert reg.stats()["misses"] == {"best": 2}
 
 
 def test_clear_resets_everything():
@@ -123,7 +123,7 @@ def test_constructor_validation():
         SignatureRegistry(stripes=0)
     with pytest.raises(ValueError):
         SignatureRegistry(capacity=0)
-    assert set(NAMESPACES) >= {"measure", "prepare", "tune", "best"}
+    assert set(NAMESPACES) >= {"measure", "prepare", "best"}
 
 
 # -- concurrency ---------------------------------------------------------
@@ -185,7 +185,7 @@ def test_failed_leader_promotes_exactly_one_waiter():
 
     def call(name):
         try:
-            outcomes[name] = reg.get_or_compute("tune", ("k",), flaky)
+            outcomes[name] = reg.get_or_compute("best", ("k",), flaky)
         except RuntimeError:
             outcomes[name] = "raised"
 
